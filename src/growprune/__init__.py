@@ -12,7 +12,7 @@ from .archops import (
     prune_connections,
 )
 from .data import CsvSchema, DataError, Dataset, load_csv, load_dataset, load_idx, save_dataset, split
-from .dimreduce import CompressionRatio, Reducer, fit_reducer, normalize, shrink_architecture, transform
+from .dimreduce import Reducer, fit_reducer, normalize, shrink_architecture, transform
 from .energy import EnergyCostModel, OpCounts, count_ops, estimate_energy, network_energy
 from .network import (
     ForwardTrace,
@@ -29,7 +29,7 @@ from .network import (
     prune_isolated_neurons,
     save_checkpoint,
 )
-from .numerics import Matrix, hadamard, make_rng, matmul, sample_gaussian
+from .numerics import make_rng
 from .pipeline import (
     BaselineSearchConfig,
     PipelineConfig,
@@ -50,9 +50,6 @@ from .schemes import (
     mnist_scheme_b_config,
     mnist_scheme_c_config,
     run_scheme,
-    run_scheme_a,
-    run_scheme_b,
-    run_scheme_c,
     train_weights,
 )
 

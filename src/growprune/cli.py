@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .data import CsvSchema, DataError, Dataset, load_csv, load_dataset, load_idx, make_blobs, make_embedded_clusters, make_moons, save_dataset, split, split_from_files
 from .dimreduce import normalize
 from .energy import count_ops, estimate_energy
-from .network import accuracy, checkpoint_dict, connection_count, from_mlp, network_from_dict
+from .network import accuracy, checkpoint_dict, connection_count, from_mlp
 from .numerics import make_rng
 from .pipeline import (
     BaselineSearchConfig,
@@ -176,7 +177,18 @@ def _synthetic_from_spec(spec: dict) -> Dataset:
 def _resolve_seeds(manifest: dict, args) -> list[int]:
     base = args.seed if args.seed is not None else manifest.get("seed", 0)
     count = args.seeds if args.seeds is not None else manifest.get("seeds", 5)
+    if type(base) is not int or type(count) is not int or count < 1:
+        raise ManifestError(f"seed must be an integer and seeds a count >= 1, got {base!r}, {count!r}")
     return [base + i for i in range(count)]
+
+
+def _config(cls, spec: dict, section: str):
+    """Build a config object from a manifest section; unknown keys and
+    invalid values are usage errors."""
+    try:
+        return cls(**spec)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"manifest section {section!r}: {exc}") from exc
 
 
 def _resolve_out(manifest: dict, args) -> Path:
@@ -237,20 +249,12 @@ def _load_run_dataset(manifest: dict, args) -> Dataset:
 def cmd_baseline(args) -> int:
     manifest = load_manifest(args.manifest)
     ds = normalize(_load_run_dataset(manifest, args))
-    cfg = BaselineSearchConfig(**manifest.get("baseline", {}))
+    cfg = _config(BaselineSearchConfig, manifest.get("baseline", {}), "baseline")
     seeds = _resolve_seeds(manifest, args)
     res = find_baseline(ds, cfg, make_rng(seeds[0]))
     out = _resolve_out(manifest, args)
     tracker = ArtifactTracker(out)
-    _dump_json(
-        {
-            "layer_sizes": res.layer_sizes,
-            "val_acc": res.val_acc,
-            "edges": res.edges,
-            "connections": res.connections,
-        },
-        tracker.path("baseline.json"),
-    )
+    _dump_json(asdict(res), tracker.path("baseline.json"))
     print(f"baseline: {res.layer_sizes} val_acc={res.val_acc:.4f} connections={res.connections}")
     return EXIT_OK
 
@@ -269,7 +273,7 @@ def _scheme_config(manifest: dict, args, ds: Dataset, seed: int) -> SchemeConfig
         dense = sum(a * b for a, b in zip(sizes, sizes[1:]))
         spec["final_connections"] = max(ds.n_classes, dense // 10)
     spec.pop("hidden", None)
-    return SchemeConfig.from_dict(spec)
+    return _config(SchemeConfig, spec, "scheme")
 
 
 def cmd_synth(args) -> int:
@@ -278,13 +282,13 @@ def cmd_synth(args) -> int:
     do_normalize = manifest.get("normalize", True)
     ds = normalize(ds_raw) if do_normalize else ds_raw
     seeds = _resolve_seeds(manifest, args)
+    cfgs = [_scheme_config(manifest, args, ds, seed) for seed in seeds]
     out = _resolve_out(manifest, args)
     tracker = ArtifactTracker(out)
     try:
         per_seed = []
         baseline_declared = manifest.get("baseline_connections")
-        for seed in seeds:
-            cfg = _scheme_config(manifest, args, ds, seed)
+        for seed, cfg in zip(seeds, cfgs):
             if baseline_declared is None and cfg.layer_sizes:
                 dense = from_mlp(cfg.layer_sizes, make_rng(0))
                 baseline_declared = connection_count(dense)
@@ -295,18 +299,20 @@ def cmd_synth(args) -> int:
                 writer.close()
             net = res.best_net
             energy = estimate_energy(count_ops(net))
-            _dump_json(checkpoint_dict(net, seed=seed), tracker.path(f"seed_{seed}", "checkpoint.json"))
+            checkpoint = checkpoint_dict(net, seed=seed)
+            connections = connection_count(net)
+            _dump_json(checkpoint, tracker.path(f"seed_{seed}", "checkpoint.json"))
             preprocess = []
             if do_normalize and ds.normalization:
                 preprocess.append({"op": "normalize", **ds.normalization})
             bundle = make_bundle(
-                checkpoint=checkpoint_dict(net, seed=seed),
+                checkpoint=checkpoint,
                 label_map=ds.label_map,
                 preprocess=preprocess,
                 metrics={
                     "val_acc": res.best_val_acc,
                     "test_acc": res.test_acc,
-                    "connections": connection_count(net),
+                    "connections": connections,
                     "energy_j": _fmt_energy(energy),
                 },
                 notes=res.notes,
@@ -316,7 +322,7 @@ def cmd_synth(args) -> int:
                 "seed": seed,
                 "val_acc": res.best_val_acc,
                 "test_acc": res.test_acc,
-                "connections": connection_count(net),
+                "connections": connections,
                 "neurons": net.n_hidden,
                 "depth": res.history[res.best_iteration - 1].depth if res.history else 0,
                 "energy_j": _fmt_energy(energy),
@@ -336,7 +342,7 @@ def cmd_synth(args) -> int:
             )
         metrics = {
             "command": "synth",
-            "scheme": per_seed and _scheme_config(manifest, args, ds, seeds[0]).scheme,
+            "scheme": cfgs[0].scheme,
             "seeds": seeds,
             "per_seed": per_seed,
             "mean": mean,
@@ -356,10 +362,10 @@ def _effective_manifest(manifest: dict, args, seeds: list[int], out: Path) -> di
     eff["seed"] = seeds[0]
     eff["seeds"] = len(seeds)
     eff["out"] = str(out)
-    for key in ("scheme_flag", "reducer", "k"):
-        v = getattr(args, key.replace("_flag", ""), None)
+    for key in ("scheme", "reducer", "k"):
+        v = getattr(args, key, None)
         if v is not None:
-            eff.setdefault("overrides", {})[key.replace("_flag", "")] = v
+            eff.setdefault("overrides", {})[key] = v
     return eff
 
 
@@ -376,19 +382,11 @@ def cmd_sweep(args) -> int:
         spec["k_grid"] = [args.k]
     if args.scheme:
         spec["schemes"] = [args.scheme]
-    cfg = PipelineConfig(**spec)
+    cfg = _config(PipelineConfig, spec, "pipeline")
     tracker = ArtifactTracker(out)
     try:
         res = run_pipeline(ds, cfg, seeds, workers=workers)
-        _dump_json(
-            {
-                "layer_sizes": res.baseline.layer_sizes,
-                "val_acc": res.baseline.val_acc,
-                "edges": res.baseline.edges,
-                "connections": res.baseline.connections,
-            },
-            tracker.path("baseline.json"),
-        )
+        _dump_json(asdict(res.baseline), tracker.path("baseline.json"))
         with open(tracker.path("candidates.csv"), "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["reducer", "k", "layer_sizes", "val_acc", "edges", "connections"])
@@ -433,13 +431,22 @@ def _load_features_csv(path, delimiter=",") -> np.ndarray:
             rows.append([float(c) for c in line.split(delimiter)])
         except ValueError as exc:
             raise DataError(f"features row {i}: {exc}") from exc
+        if len(rows[i]) != len(rows[0]):
+            raise DataError(f"features row {i}: {len(rows[i])} values, row 0 has {len(rows[0])}")
     if not rows:
         return np.zeros((0, 0))
-    return np.asarray(rows, dtype=np.float64)
+    x = np.asarray(rows, dtype=np.float64)
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise DataError(f"features row {int(np.argmax(bad))}: non-finite value")
+    return x
 
 
 def cmd_infer(args) -> int:
-    bundle = load_bundle(args.bundle)
+    try:
+        bundle = load_bundle(args.bundle)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot load bundle {args.bundle}: {exc}") from exc
     x = _load_features_csv(args.features, args.delimiter)
     out_path = Path(args.out) if args.out else Path(args.features).with_suffix(".predictions.txt")
     if x.size == 0:

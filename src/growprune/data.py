@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,15 +203,7 @@ def split(dataset: Dataset, fractions, rng: np.random.Generator) -> Dataset:
         "val": np.sort(np.concatenate(val_idx)),
         "test": np.sort(np.concatenate(test_idx)),
     }
-    out = Dataset(
-        features=dataset.features,
-        labels=dataset.labels,
-        splits=splits,
-        n_classes=dataset.n_classes,
-        label_map=dataset.label_map,
-        provenance=dict(dataset.provenance),
-        normalization=dataset.normalization,
-    )
+    out = replace(dataset, splits=splits, provenance=dict(dataset.provenance))
     out.validate()
     return out
 
@@ -222,14 +214,10 @@ def split_from_files(dataset: Dataset, train_file, val_file, test_file) -> Datas
         with open(path) as f:
             return np.array([int(ln) for ln in f if ln.strip()], dtype=np.int64)
 
-    out = Dataset(
-        features=dataset.features,
-        labels=dataset.labels,
+    out = replace(
+        dataset,
         splits={"train": read(train_file), "val": read(val_file), "test": read(test_file)},
-        n_classes=dataset.n_classes,
-        label_map=dataset.label_map,
         provenance=dict(dataset.provenance),
-        normalization=dataset.normalization,
     )
     out.validate()
     return out

@@ -6,7 +6,7 @@ compression ratio d / k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,13 +27,9 @@ def normalize(dataset: Dataset) -> Dataset:
     lo = x_train.min(axis=0)
     span = x_train.max(axis=0) - lo
     scale = np.where(span > 0, 1.0 / np.where(span > 0, span, 1.0), 0.0)
-    features = (dataset.features - lo) * scale
-    return Dataset(
-        features=features,
-        labels=dataset.labels,
-        splits=dataset.splits,
-        n_classes=dataset.n_classes,
-        label_map=dataset.label_map,
+    return replace(
+        dataset,
+        features=(dataset.features - lo) * scale,
         provenance=dict(dataset.provenance),
         normalization={"min": lo.tolist(), "scale": scale.tolist()},
     )
@@ -43,15 +39,6 @@ def apply_normalization(params: dict, features: np.ndarray) -> np.ndarray:
     lo = np.asarray(params["min"], dtype=np.float64)
     scale = np.asarray(params["scale"], dtype=np.float64)
     return (features - lo) * scale
-
-
-@dataclass
-class CompressionRatio:
-    r: float
-
-    def __post_init__(self):
-        if not self.r > 1.0:
-            raise ValueError(f"compression ratio must exceed 1, got {self.r}")
 
 
 @dataclass
@@ -69,10 +56,6 @@ class Reducer:
     mean: np.ndarray | None = None
     components: np.ndarray | None = None
     seed: int | None = None
-
-    @property
-    def ratio(self) -> CompressionRatio:
-        return CompressionRatio(self.d / self.k)
 
     def to_dict(self) -> dict:
         return {
@@ -150,24 +133,21 @@ def transform(reducer: Reducer, features: np.ndarray) -> np.ndarray:
 
 def reduce_dataset(reducer: Reducer, dataset: Dataset) -> Dataset:
     """Apply the reducer to every split of a dataset."""
-    return Dataset(
+    return replace(
+        dataset,
         features=transform(reducer, dataset.features),
-        labels=dataset.labels,
-        splits=dataset.splits,
-        n_classes=dataset.n_classes,
-        label_map=dataset.label_map,
         provenance={**dataset.provenance, "reduced_by": reducer.kind, "k": reducer.k},
         normalization=None,
     )
 
 
-def shrink_architecture(layer_sizes: list[int], ratio: CompressionRatio | float) -> list[int]:
+def shrink_architecture(layer_sizes: list[int], ratio: float) -> list[int]:
     """Divide every layer except the output by the compression ratio.
 
     Half-up rounding, floored at 1; the output layer never changes. With
     ratio = d / k the input layer lands exactly on k.
     """
-    r = ratio.r if isinstance(ratio, CompressionRatio) else float(ratio)
+    r = float(ratio)
     if not r > 1.0:
         raise ValueError(f"compression ratio must exceed 1, got {r}")
     out = [max(1, int(math.floor(s / r + 0.5))) for s in layer_sizes[:-1]]

@@ -42,13 +42,6 @@ class OpCounts:
         if min(self.macs, self.sram_accesses, self.comparisons) < 0:
             raise ValueError("operation counts must be >= 0")
 
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.macs + other.macs,
-            self.sram_accesses + other.sram_accesses,
-            self.comparisons + other.comparisons,
-        )
-
 
 def count_ops(net: Network) -> OpCounts:
     """Operation counts for one single-sample inference.

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Matrix
 
 DEFAULT_BLOCK = 128
 
@@ -37,16 +36,14 @@ def _relu_grad(u: np.ndarray) -> np.ndarray:
     return (u > 0.0).astype(np.float64)
 
 
-ACTIVATIONS = {"relu": (_relu, _relu_grad)}
-
-
 class Network:
     """Masked-weight DAG over n_in + n_hidden + n_out ordered neurons.
 
     mask[i, j] = 1 iff the connection i -> j is active. Invariants: the mask
     is strictly upper triangular, nothing terminates at an input, nothing
     originates at an output, and weights are exactly zero wherever the mask
-    is zero. `layers` optionally records a layer id per neuron for networks
+    is zero. Hidden neurons apply ReLU, outputs are linear (pre-softmax
+    logits). `layers` optionally records a layer id per neuron for networks
     with MLP structure (used to restrict growth to adjacent layers).
     """
 
@@ -55,16 +52,13 @@ class Network:
         n_in: int,
         n_hidden: int,
         n_out: int,
-        mask: Matrix | None = None,
-        weights: Matrix | None = None,
+        mask: np.ndarray | None = None,
+        weights: np.ndarray | None = None,
         bias: np.ndarray | None = None,
-        activation: str = "relu",
         layers: np.ndarray | None = None,
     ):
         if n_in < 1 or n_out < 1 or n_hidden < 0:
             raise ValueError(f"bad neuron counts: {n_in}/{n_hidden}/{n_out}")
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation: {activation}")
         n = n_in + n_hidden + n_out
         self.n_in = n_in
         self.n_hidden = n_hidden
@@ -72,7 +66,6 @@ class Network:
         self.mask = np.zeros((n, n)) if mask is None else np.asarray(mask, dtype=np.float64)
         self.weights = np.zeros((n, n)) if weights is None else np.asarray(weights, dtype=np.float64)
         self.bias = np.zeros(n_hidden + n_out) if bias is None else np.asarray(bias, dtype=np.float64)
-        self.activation = activation
         self.layers = None if layers is None else np.asarray(layers, dtype=np.int64)
 
     @property
@@ -91,8 +84,7 @@ class Network:
             self.mask.copy(),
             self.weights.copy(),
             self.bias.copy(),
-            self.activation,
-            None if self.layers is None else self.layers.copy(),
+            layers=None if self.layers is None else self.layers.copy(),
         )
 
     def validate(self) -> None:
@@ -118,8 +110,8 @@ class Network:
 class ForwardTrace:
     """Per-sample preactivities and activities for every neuron.
 
-    For input neurons u = x = the input value; hidden neurons apply the
-    activation, output neurons carry their preactivity (identity pre-softmax).
+    For input neurons u = x = the input value; hidden neurons apply ReLU,
+    output neurons carry their preactivity (identity pre-softmax).
     """
 
     u: np.ndarray  # (batch, N)
@@ -133,7 +125,7 @@ def _block_starts(n_in: int, n: int, block: int) -> list[int]:
     return list(range(n_in, n, block))
 
 
-def forward(net: Network, batch: Matrix, block: int = DEFAULT_BLOCK) -> ForwardTrace:
+def forward(net: Network, batch: np.ndarray, block: int = DEFAULT_BLOCK) -> ForwardTrace:
     """Evaluate the network on a (batch x n_in) matrix of inputs.
 
     Neurons are evaluated in global order: u_j = bias_j + sum_{i<j} w_ij x_i.
@@ -146,7 +138,6 @@ def forward(net: Network, batch: Matrix, block: int = DEFAULT_BLOCK) -> ForwardT
             f"batch width mismatch: expected {net.n_in} inputs, got shape {batch.shape}"
         )
     n, b = net.n, batch.shape[0]
-    act, _ = ACTIVATIONS[net.activation]
     w = net.weights
     u = np.empty((b, n))
     x = np.empty((b, n))
@@ -163,15 +154,15 @@ def forward(net: Network, batch: Matrix, block: int = DEFAULT_BLOCK) -> ForwardT
                 c = j - s
                 if c > 0 and np.any(wb[:c, c]):
                     ub[:, c] += x[:, s:j] @ wb[:c, c]
-                col = ub[:, c] if j >= he else act(ub[:, c])
+                col = ub[:, c] if j >= he else _relu(ub[:, c])
                 x[:, j] = col
         else:
             if e <= he:
-                x[:, s:e] = act(ub)
+                x[:, s:e] = _relu(ub)
             elif s >= he:
                 x[:, s:e] = ub
             else:
-                x[:, s:he] = act(ub[:, : he - s])
+                x[:, s:he] = _relu(ub[:, : he - s])
                 x[:, he:e] = ub[:, he - s :]
         u[:, s:e] = ub
     return ForwardTrace(u=u, x=x)
@@ -194,7 +185,7 @@ def _check_labels(net: Network, labels: np.ndarray) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def loss_value(net: Network, batch: Matrix, labels: np.ndarray, weight_decay: float = 0.0) -> float:
+def loss_value(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay: float = 0.0) -> float:
     """Mean softmax cross-entropy plus the L2 weight-decay term."""
     labels = _check_labels(net, labels)
     trace = forward(net, batch)
@@ -210,7 +201,7 @@ def loss_value(net: Network, batch: Matrix, labels: np.ndarray, weight_decay: fl
 
 def loss_and_gradients(
     net: Network,
-    batch: Matrix,
+    batch: np.ndarray,
     labels: np.ndarray,
     weight_decay: float = 0.0,
     block: int = DEFAULT_BLOCK,
@@ -230,7 +221,6 @@ def loss_and_gradients(
     n, b = net.n, trace.x.shape[0]
     he = net.hidden_end
     w = net.weights
-    _, dact = ACTIVATIONS[net.activation]
 
     logits = trace.logits(net.n_out)
     p = _softmax(logits)
@@ -257,7 +247,7 @@ def loss_and_gradients(
             for j in range(e - 1, s - 1, -1):
                 c = j - s
                 if j < he:
-                    du[:, j] = dx[:, j] * dact(trace.u[:, j])
+                    du[:, j] = dx[:, j] * _relu_grad(trace.u[:, j])
                 if c > 0:
                     if np.any(mb[:c, c]):
                         dx[:, s:j] += du[:, j : j + 1] * w[s:j, j][None, :]
@@ -265,7 +255,7 @@ def loss_and_gradients(
         else:
             if s < he:
                 lim = min(e, he)
-                du[:, s:lim] = dx[:, s:lim] * dact(trace.u[:, s:lim])
+                du[:, s:lim] = dx[:, s:lim] * _relu_grad(trace.u[:, s:lim])
         if s > 0:
             dx[:, :s] += du[:, s:e] @ w[:s, s:e].T
             dw[:s, s:e] = trace.x[:, :s].T @ du[:, s:e]
@@ -278,7 +268,7 @@ def loss_and_gradients(
     return loss, dw, dbias, du
 
 
-def predict(net: Network, batch: Matrix, batch_size: int = 512) -> np.ndarray:
+def predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarray:
     """Argmax class per row, evaluated in chunks."""
     batch = np.asarray(batch, dtype=np.float64)
     out = np.empty(batch.shape[0], dtype=np.int64)
@@ -288,7 +278,7 @@ def predict(net: Network, batch: Matrix, batch_size: int = 512) -> np.ndarray:
     return out
 
 
-def accuracy(net: Network, batch: Matrix, labels: np.ndarray) -> float:
+def accuracy(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if labels.size == 0:
         return 0.0
@@ -345,7 +335,7 @@ def connection_count(net: Network) -> int:
     return edges + biases
 
 
-def from_mlp(layer_sizes: list[int], rng: np.random.Generator, activation: str = "relu") -> Network:
+def from_mlp(layer_sizes: list[int], rng: np.random.Generator) -> Network:
     """Fully connected layered network over the global ordering.
 
     Weights are zero-mean Gaussian with std sqrt(2 / fan_in) per receiving
@@ -358,7 +348,7 @@ def from_mlp(layer_sizes: list[int], rng: np.random.Generator, activation: str =
         raise ValueError(f"empty layer in {sizes}")
     n_in, n_out = sizes[0], sizes[-1]
     n_hidden = sum(sizes[1:-1])
-    net = Network(n_in, n_hidden, n_out, activation=activation)
+    net = Network(n_in, n_hidden, n_out)
     bounds = np.cumsum([0] + sizes)
     layers = np.empty(net.n, dtype=np.int64)
     for li in range(len(sizes)):
@@ -409,7 +399,7 @@ def prune_isolated_neurons(net: Network) -> Network:
     return net
 
 
-def _mask_to_rle(mask: Matrix) -> list[list[list[int]]]:
+def _mask_to_rle(mask: np.ndarray) -> list[list[list[int]]]:
     """Per-row runs of active entries as [start, length] pairs."""
     rows = []
     for r in range(mask.shape[0]):
@@ -429,10 +419,14 @@ def _mask_to_rle(mask: Matrix) -> list[list[list[int]]]:
     return rows
 
 
-def _rle_to_mask(rows: list, n: int) -> Matrix:
+def _rle_to_mask(rows: list, n: int) -> np.ndarray:
+    if len(rows) != n:
+        raise ValueError(f"mask_rle has {len(rows)} rows for {n} neurons")
     mask = np.zeros((n, n))
     for r, runs in enumerate(rows):
         for start, length in runs:
+            if not (0 <= start and 0 < length and start + length <= n):
+                raise ValueError(f"mask_rle row {r}: run [{start}, {length}] leaves [0, {n})")
             mask[r, start : start + length] = 1.0
     return mask
 
@@ -446,7 +440,7 @@ def checkpoint_dict(net: Network, seed: int | None = None) -> dict:
         "n_in": net.n_in,
         "n_hidden": net.n_hidden,
         "n_out": net.n_out,
-        "activation": net.activation,
+        "activation": "relu",
         "seed": seed,
         "mask_rle": _mask_to_rle(net.mask),
         "weights": triples,
@@ -456,18 +450,32 @@ def checkpoint_dict(net: Network, seed: int | None = None) -> dict:
 
 
 def network_from_dict(d: dict) -> Network:
-    n = d["n_in"] + d["n_hidden"] + d["n_out"]
+    """Rebuild a checkpointed network; raises ValueError unless `d` describes
+    a valid one (format, indices in range, then `Network.validate`)."""
+    if not isinstance(d, dict) or (d.get("format"), d.get("version")) != ("growprune-checkpoint", 1):
+        raise ValueError("not a checkpoint: expected format growprune-checkpoint, version 1")
+    if d.get("activation") != "relu":
+        raise ValueError(f"unsupported activation: {d.get('activation')!r}")
+    counts = [d.get(k) for k in ("n_in", "n_hidden", "n_out")]
+    if not all(type(c) is int for c in counts):
+        raise ValueError(f"neuron counts must be integers, got {counts}")
+    n = sum(counts)
     net = Network(
-        d["n_in"],
-        d["n_hidden"],
-        d["n_out"],
+        *counts,
         mask=_rle_to_mask(d["mask_rle"], n),
-        activation=d["activation"],
-        layers=None if d.get("layers") is None else np.asarray(d["layers"]),
+        bias=d["bias"],
+        layers=d.get("layers"),
     )
-    for i, j, v in d["weights"]:
-        net.weights[i, j] = v
-    net.bias = np.asarray(d["bias"], dtype=np.float64)
+    if net.layers is not None and net.layers.shape != (n,):
+        raise ValueError("layers must hold one layer id per neuron")
+    triples = np.asarray(d["weights"], dtype=np.float64).reshape(-1, 3)
+    if len(triples) != len(d["weights"]):
+        raise ValueError("weights must be [row, column, value] triples")
+    ij = triples[:, :2]
+    if not np.all((ij >= 0) & (ij < n) & (ij == np.floor(ij))):
+        raise ValueError(f"weight index outside [0, {n})")
+    net.weights[ij[:, 0].astype(np.int64), ij[:, 1].astype(np.int64)] = triples[:, 2]
+    net.validate()
     return net
 
 
@@ -480,6 +488,4 @@ def save_checkpoint(net: Network, path, seed: int | None = None) -> None:
 def load_checkpoint(path) -> tuple[Network, dict]:
     with open(path) as f:
         d = json.load(f)
-    if d.get("format") != "growprune-checkpoint":
-        raise ValueError(f"not a checkpoint file: {path}")
     return network_from_dict(d), d

@@ -1,17 +1,8 @@
-"""Dense float64 matrix helpers and the seedable random source used by every run.
-
-All numeric state is a 2-D float64 numpy array in row-major order. Shapes are
-always explicit; there is no broadcasting in the public operations, so shape
-bugs in mask algebra fail loudly instead of silently.
-"""
+"""The seedable random source used by every run."""
 
 from __future__ import annotations
 
 import numpy as np
-
-Matrix = np.ndarray
-
-RNG_ALGORITHM = "pcg64"
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -21,46 +12,3 @@ def make_rng(seed: int) -> np.random.Generator:
     default_rng choice.
     """
     return np.random.Generator(np.random.PCG64(int(seed)))
-
-
-def as_matrix(data) -> Matrix:
-    """Coerce nested lists / arrays into a 2-D float64 matrix."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def _check_2d(name: str, m: Matrix) -> None:
-    if not isinstance(m, np.ndarray) or m.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array")
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product a @ b with explicit shape checking."""
-    _check_2d("a", a)
-    _check_2d("b", b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape[0]}x{a.shape[1]} by "
-            f"{b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def hadamard(a: Matrix, b: Matrix) -> Matrix:
-    """Elementwise product of two same-shape matrices (mask application)."""
-    _check_2d("a", a)
-    _check_2d("b", b)
-    if a.shape != b.shape:
-        raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def sample_gaussian(
-    rng: np.random.Generator, rows: int, cols: int, mean: float = 0.0, std: float = 1.0
-) -> Matrix:
-    """rows x cols matrix of i.i.d. N(mean, std^2) entries."""
-    if std < 0:
-        raise ValueError(f"negative std: {std}")
-    return rng.normal(loc=mean, scale=std, size=(rows, cols))

@@ -20,7 +20,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from .data import Dataset
-from .dimreduce import Reducer, fit_reducer, normalize, reduce_dataset, shrink_architecture, transform, apply_normalization
+from .dimreduce import REDUCER_KINDS, Reducer, fit_reducer, normalize, reduce_dataset, shrink_architecture, transform, apply_normalization
 from .energy import count_ops, count_reducer_ops, estimate_energy
 from .network import (
     Network,
@@ -32,8 +32,7 @@ from .network import (
     predict,
 )
 from .numerics import make_rng
-from .schemes import OptimizerConfig, SchemeConfig, run_scheme, train_weights, TrainingDiverged
-from .network import UnreachableOutputError, depth as net_depth
+from .schemes import OptimizerConfig, SchemeConfig, run_scheme, train_weights, TrainingDiverged, _safe_depth
 
 log = logging.getLogger(__name__)
 
@@ -274,6 +273,9 @@ class PipelineConfig:
         bad = [s for s in self.schemes if s not in ("A", "B", "C")]
         if bad:
             raise ValueError(f"unknown schemes: {bad}")
+        bad = [r for r in self.reducers if r not in REDUCER_KINDS]
+        if bad:
+            raise ValueError(f"unknown reducers: {bad}")
 
 
 def scheme_config_for_candidate(
@@ -306,33 +308,8 @@ def cell_rng(base_seed: int, cell_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _safe_depth(net) -> int:
-    try:
-        return net_depth(net)
-    except UnreachableOutputError:
-        return 0
-
-
 def _run_cell(args):
-    cand_dict, reduced_payload, scheme, base_seed, cell_index, pipe_cfg_dicts = args
-    cand = Candidate(
-        layer_sizes=cand_dict["layer_sizes"],
-        reducer=Reducer.from_dict(cand_dict["reducer"]),
-        val_acc=cand_dict["val_acc"],
-        edges=cand_dict["edges"],
-        connections=cand_dict["connections"],
-        qualifies=cand_dict["qualifies"],
-        flagged=cand_dict["flagged"],
-    )
-    pipe_cfg = PipelineConfig(**pipe_cfg_dicts)
-    reduced = Dataset(
-        features=reduced_payload["features"],
-        labels=reduced_payload["labels"],
-        splits=reduced_payload["splits"],
-        n_classes=reduced_payload["n_classes"],
-        label_map=reduced_payload["label_map"],
-        normalization=reduced_payload["normalization"],
-    )
+    cand, reduced, scheme, base_seed, cell_index, pipe_cfg = args
     cfg = scheme_config_for_candidate(cand, scheme, pipe_cfg, base_seed)
     res = run_scheme(cfg, reduced, rng=cell_rng(base_seed, cell_index))
     net = res.best_net
@@ -376,39 +353,18 @@ def synthesize_from_candidates(
     scheme_rank = {"C": 0, "B": 1, "A": 2}
     cells = []
     reduced_cache: dict[tuple, Dataset] = {}
-    for ci, cand in enumerate(candidates.entries):
+    for cand in candidates.entries:
         key = (cand.reducer.kind, cand.reducer.k)
         if key not in reduced_cache:
             reduced_cache[key] = normalize(reduce_dataset(cand.reducer, data_norm))
         for scheme in pipe_cfg.schemes:
             for seed in seeds:
-                cells.append((ci, cand, scheme, seed))
-    args = []
-    for idx, (ci, cand, scheme, seed) in enumerate(cells):
-        reduced = reduced_cache[(cand.reducer.kind, cand.reducer.k)]
-        payload = {
-            "features": reduced.features,
-            "labels": reduced.labels,
-            "splits": reduced.splits,
-            "n_classes": reduced.n_classes,
-            "label_map": reduced.label_map,
-            "normalization": reduced.normalization,
-        }
-        cand_dict = {
-            "layer_sizes": cand.layer_sizes,
-            "reducer": cand.reducer.to_dict(),
-            "val_acc": cand.val_acc,
-            "edges": cand.edges,
-            "connections": cand.connections,
-            "qualifies": cand.qualifies,
-            "flagged": cand.flagged,
-        }
-        args.append((cand_dict, payload, scheme, seed, idx, _pipe_cfg_dict(pipe_cfg)))
+                cells.append((cand, reduced_cache[key], scheme, seed, len(cells), pipe_cfg))
     if workers > 1:
         with Pool(workers) as pool:
-            results = pool.map(_run_cell, args)
+            results = pool.map(_run_cell, cells)
     else:
-        results = [_run_cell(a) for a in args]
+        results = [_run_cell(c) for c in cells]
     results.sort(key=lambda t: t[0])
     rows = [r for _, r, _ in results]
     best_idx = None
@@ -419,21 +375,15 @@ def synthesize_from_candidates(
             best_key = key
             best_idx = idx
     _, best_row, best_payload = results[best_idx]
-    ci = cells[best_idx][0]
-    best_cand = candidates.entries[ci]
+    # cells run candidate-major, len(schemes) * len(seeds) per candidate
+    ci = best_idx // (len(pipe_cfg.schemes) * len(seeds))
     return {
         "rows": rows,
         "best_row": best_row,
         "best_payload": best_payload,
         "best_candidate_index": ci,
-        "best_reducer": best_cand.reducer,
+        "best_reducer": candidates.entries[ci].reducer,
     }
-
-
-def _pipe_cfg_dict(cfg: PipelineConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
 
 
 @dataclass
@@ -504,10 +454,17 @@ def save_bundle(bundle: dict, path) -> None:
 
 
 def load_bundle(path) -> dict:
+    """Read a bundle; raises ValueError unless its checkpoint is a valid
+    network and its label map covers exactly the network's outputs."""
     with open(path) as f:
         bundle = json.load(f)
-    if bundle.get("format") != "growprune-bundle":
+    if not isinstance(bundle, dict) or bundle.get("format") != "growprune-bundle":
         raise ValueError(f"not a model bundle: {path}")
+    net = network_from_dict(bundle.get("checkpoint"))
+    label_map = bundle.get("label_map")
+    ids = list(label_map.values()) if isinstance(label_map, dict) else [None]
+    if not all(type(v) is int for v in ids) or sorted(ids) != list(range(net.n_out)):
+        raise ValueError(f"label_map must map onto 0..{net.n_out - 1}")
     return bundle
 
 

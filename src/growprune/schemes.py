@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class SchemeConfig:
     initial_train: bool | None = None  # default: True for B/C, False for A
     steps: list[dict] | None = None  # default: preset for the scheme
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    activation: str = "relu"
     noise_std: float | None = None  # neuron division noise; None = relative
 
     def __post_init__(self):
@@ -110,14 +109,6 @@ class SchemeConfig:
                 raise ValueError(f"scheme {self.scheme} needs layer_sizes")
             if self.final_connections is None:
                 raise ValueError(f"scheme {self.scheme} needs final_connections")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SchemeConfig":
-        return cls(**d)
 
     def resolved_steps(self) -> list[dict]:
         return self.steps if self.steps is not None else default_steps(self.scheme)
@@ -185,7 +176,7 @@ def train_weights(
     Weight decay applies to active weights only; biases decay-free. On loss
     divergence the entry weights are restored and TrainingDiverged raised.
     """
-    x_train, y_train = data.train_xy() if hasattr(data, "train_xy") else data
+    x_train, y_train = data.train_xy()
     snap_w, snap_b = net.weights.copy(), net.bias.copy()
     lr = opt.learning_rate * lr_scale
     n = net.n
@@ -252,7 +243,7 @@ def _initial_network(cfg: SchemeConfig, data, rng: np.random.Generator) -> Netwo
     n_in, n_out = data.n_features, data.n_classes
     if cfg.scheme == "A":
         hidden = cfg.seed_hidden if cfg.seed_hidden is not None else max(4, n_out)
-        net = from_mlp([n_in, hidden, n_out], rng, activation=cfg.activation)
+        net = from_mlp([n_in, hidden, n_out], rng)
         if cfg.init_prune_fraction > 0:
             ii, jj = np.nonzero(net.mask)
             k = int(round(cfg.init_prune_fraction * ii.size))
@@ -265,7 +256,7 @@ def _initial_network(cfg: SchemeConfig, data, rng: np.random.Generator) -> Netwo
         raise ValueError(
             f"layer_sizes {sizes} do not match dataset ({n_in} features, {n_out} classes)"
         )
-    net = from_mlp(sizes, rng, activation=cfg.activation)
+    net = from_mlp(sizes, rng)
     if cfg.scheme == "B" and cfg.init_skip_growth:
         archops.grow_connections(net, GrowthPolicy("full"), rng, max_new=None)
     return net
@@ -523,20 +514,3 @@ def mnist_scheme_c_config(seed: int = 0) -> SchemeConfig:
         ),
     )
 
-
-def run_scheme_a(cfg: SchemeConfig, data, rng=None, history_writer=None) -> SynthesisResult:
-    if cfg.scheme != "A":
-        raise ValueError("config scheme must be A")
-    return run_scheme(cfg, data, rng, history_writer)
-
-
-def run_scheme_b(cfg: SchemeConfig, data, rng=None, history_writer=None) -> SynthesisResult:
-    if cfg.scheme != "B":
-        raise ValueError("config scheme must be B")
-    return run_scheme(cfg, data, rng, history_writer)
-
-
-def run_scheme_c(cfg: SchemeConfig, data, rng=None, history_writer=None) -> SynthesisResult:
-    if cfg.scheme != "C":
-        raise ValueError("config scheme must be C")
-    return run_scheme(cfg, data, rng, history_writer)

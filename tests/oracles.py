@@ -1,24 +1,10 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-Everything here is deliberately naive (triple loops, per-neuron interpreters,
+Everything here is deliberately naive (nested loops, per-neuron interpreters,
 full sorts, finite differences) and shares no code path with the package.
 """
 
 import numpy as np
-
-
-def naive_matmul(a, b):
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    assert inner == inner2
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def naive_forward(n_in, n_out, mask, weights, bias, sample):

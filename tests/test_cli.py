@@ -6,8 +6,9 @@ import pytest
 
 from growprune.cli import main
 from growprune.data import load_dataset
-from growprune.network import load_checkpoint
-from growprune.pipeline import load_bundle
+from growprune.network import checkpoint_dict, from_mlp, load_checkpoint
+from growprune.numerics import make_rng
+from growprune.pipeline import load_bundle, make_bundle
 
 
 def toy_manifest(out, seeds=1, scheme="C"):
@@ -222,6 +223,89 @@ def test_infer_width_mismatch_names_expected(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "12" in err
+
+
+def write_bundle(tmp_path, tamper=None):
+    """Untrained 3-4-2 MLP bundle; `tamper` edits the bundle dict first."""
+    net = from_mlp([3, 4, 2], make_rng(0))
+    bundle = make_bundle(checkpoint_dict(net, seed=0), {"a": 0, "b": 1}, preprocess=[], metrics={})
+    bundle = json.loads(json.dumps(bundle))
+    if tamper:
+        tamper(bundle)
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(bundle))
+    return p
+
+
+def run_infer(tmp_path, bundle, rows):
+    feats = tmp_path / "rows.csv"
+    feats.write_text(rows)
+    return main(["infer", "--bundle", str(bundle), "--features", str(feats), "--out", str(tmp_path / "p.txt")])
+
+
+def test_infer_valid_bundle_predicts(tmp_path):
+    assert run_infer(tmp_path, write_bundle(tmp_path), "1,2,3\n0,0,0\n") == 0
+    assert set((tmp_path / "p.txt").read_text().split()) <= {"a", "b"}
+
+
+TAMPERED_BUNDLES = {
+    "wrapped_weight_index": lambda b: b["checkpoint"]["weights"].append([-1, -1, 5.0]),
+    "weight_off_mask": lambda b: b["checkpoint"]["weights"].append([0, 7, 5.0]),
+    "nan_weight": lambda b: b["checkpoint"]["weights"][0].__setitem__(2, float("nan")),
+    "wrong_format": lambda b: b.__setitem__("format", "something-else"),
+    "label_map_gap": lambda b: b.__setitem__("label_map", {"a": 0, "b": 2}),
+    "label_map_short": lambda b: b.__setitem__("label_map", {"a": 0}),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED_BUNDLES.values(), ids=TAMPERED_BUNDLES.keys())
+@pytest.mark.parametrize("rows", ["1,2,3\n", ""], ids=["rows", "empty"])
+def test_infer_tampered_bundle_is_data_error(tmp_path, capsys, tamper, rows):
+    assert run_infer(tmp_path, write_bundle(tmp_path, tamper), rows) == 3
+    assert "cannot load bundle" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"], ids=["missing", "corrupt", "not_object"])
+def test_infer_unreadable_bundle_is_data_error(tmp_path, content):
+    bundle = tmp_path / "bundle.json"
+    if content is not None:
+        bundle.write_text(content)
+    assert run_infer(tmp_path, bundle, "1,2,3\n") == 3
+
+
+@pytest.mark.parametrize(
+    "rows", ["1,2,3\n1,2\n", "1,2,3\nnan,0,0\n", "1,2,3\n0,-inf,0\n"], ids=["ragged", "nan", "inf"]
+)
+def test_infer_bad_rows_are_data_errors_naming_the_row(tmp_path, capsys, rows):
+    assert run_infer(tmp_path, write_bundle(tmp_path), rows) == 3
+    assert "row 1" in capsys.readouterr().err
+
+
+MANIFEST_ERRORS = {
+    "scheme_activation": ("synth", lambda m: m["scheme"].update(activation="relu"), []),
+    "scheme_misspelled_key": ("synth", lambda m: m["scheme"].update(max_iteration=3), []),
+    "scheme_rmsprop": ("synth", lambda m: m["scheme"]["optimizer"].update(kind="rmsprop"), []),
+    "synth_zero_seeds": ("synth", lambda m: m.update(seeds=0), []),
+    "synth_zero_seeds_flag": ("synth", lambda m: None, ["--seeds", "0"]),
+    "pipeline_unknown_key": ("sweep", lambda m: m["pipeline"].update(k=3), []),
+    "pipeline_unknown_reducer": ("sweep", lambda m: m["pipeline"].update(reducers=["pca", "svd"]), []),
+    "pipeline_rmsprop": ("sweep", lambda m: m["pipeline"]["scheme_optimizer"].update(kind="rmsprop"), []),
+    "pipeline_baseline_unknown_key": ("sweep", lambda m: m["pipeline"]["baseline"].update(depth=2), []),
+    "sweep_zero_seeds_flag": ("sweep", lambda m: None, ["--seeds", "0"]),
+    "baseline_unknown_key": ("baseline", lambda m: m.update(baseline={"widht": 8}), []),
+    "baseline_zero_seeds": ("baseline", lambda m: m.update(seeds=0), []),
+}
+
+
+@pytest.mark.parametrize("command, edit, flags", MANIFEST_ERRORS.values(), ids=MANIFEST_ERRORS.keys())
+def test_manifest_errors_are_usage_errors_before_any_output(tmp_path, capsys, command, edit, flags):
+    out = tmp_path / "o"
+    manifest = sweep_manifest(out) if command == "sweep" else toy_manifest(out)
+    edit(manifest)
+    assert main([command, "--manifest", write_manifest(tmp_path, manifest), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_report_single_run_idempotent(tmp_path):

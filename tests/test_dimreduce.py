@@ -5,7 +5,6 @@ import pytest
 
 from growprune.data import Dataset, make_blobs, split
 from growprune.dimreduce import (
-    CompressionRatio,
     Reducer,
     apply_normalization,
     fit_reducer,
@@ -164,7 +163,7 @@ def test_rp_reducers_are_data_independent():
 
 
 def test_shrink_architecture_cases():
-    assert shrink_architecture([784, 500, 10], CompressionRatio(2.0)) == [392, 250, 10]
+    assert shrink_architecture([784, 500, 10], 2.0) == [392, 250, 10]
     assert shrink_architecture([48, 40, 11], 4.0) == [12, 10, 11]
     assert shrink_architecture([8, 3, 5], 6.0) == [1, 1, 5]  # floors at 1
     with pytest.raises(ValueError):

@@ -12,9 +12,11 @@ from growprune.network import (
     depth,
     forward,
     from_mlp,
+    checkpoint_dict,
     load_checkpoint,
     loss_and_gradients,
     loss_value,
+    network_from_dict,
     prune_isolated_neurons,
     save_checkpoint,
 )
@@ -312,7 +314,7 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(loaded.mask, net.mask)
     assert np.array_equal(loaded.weights, net.weights)
     assert np.array_equal(loaded.bias, net.bias)
-    assert loaded.activation == net.activation
+    assert meta["activation"] == "relu"
     # a second save produces identical bytes
     path2 = tmp_path / "ck2.json"
     save_checkpoint(loaded, path2, seed=424242)
@@ -332,6 +334,36 @@ def test_checkpoint_rejects_other_files(tmp_path):
     p.write_text('{"hello": 1}')
     with pytest.raises(ValueError, match="not a checkpoint"):
         load_checkpoint(p)
+
+
+# from_mlp([3, 4, 2]): neurons 0-2 inputs, 3-6 hidden, 7-8 outputs; the
+# input -> output pair (0, 7) is legal but inactive.
+TAMPERED_CHECKPOINTS = {
+    "negative_weight_index": lambda d: d["weights"].append([-1, -1, 5.0]),
+    "weight_index_past_end": lambda d: d["weights"].append([0, 9, 5.0]),
+    "fractional_weight_index": lambda d: d["weights"].append([0.5, 4, 5.0]),
+    "weight_off_mask": lambda d: d["weights"].append([0, 7, 5.0]),
+    "nan_weight": lambda d: d["weights"][0].__setitem__(2, float("nan")),
+    "inf_bias": lambda d: d["bias"].__setitem__(0, float("inf")),
+    "short_bias": lambda d: d["bias"].pop(),
+    "run_past_end": lambda d: d["mask_rle"][0].append([8, 5]),
+    "negative_run_start": lambda d: d["mask_rle"].__setitem__(0, [[-2, 2]]),
+    "missing_mask_row": lambda d: d["mask_rle"].pop(),
+    "edge_into_input": lambda d: d["mask_rle"][5].append([0, 1]),
+    "short_layers": lambda d: d["layers"].pop(),
+    "float_neuron_count": lambda d: d.__setitem__("n_hidden", 4.0),
+    "version_2": lambda d: d.__setitem__("version", 2),
+    "tanh_activation": lambda d: d.__setitem__("activation", "tanh"),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERED_CHECKPOINTS.values(), ids=TAMPERED_CHECKPOINTS.keys())
+def test_tampered_checkpoint_is_rejected(tamper):
+    d = json.loads(json.dumps(checkpoint_dict(from_mlp([3, 4, 2], make_rng(0)))))
+    network_from_dict(d).validate()
+    tamper(d)
+    with pytest.raises(ValueError):
+        network_from_dict(d)
 
 
 def test_accuracy_counts_argmax(rng):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,9 +13,6 @@ from growprune.schemes import (
     SchemeConfig,
     TrainingDiverged,
     run_scheme,
-    run_scheme_a,
-    run_scheme_b,
-    run_scheme_c,
     train_weights,
 )
 
@@ -99,7 +97,7 @@ def test_scheme_a_single_iteration_noop_policies_returns_trained_seed():
         steps=[{"op": "train", "checkpoint": True}],
         optimizer=OptimizerConfig(epochs_per_iteration=40),
     )
-    res = run_scheme_a(cfg, ds)
+    res = run_scheme(cfg, ds)
     # seed architecture: one hidden layer of max(4, n_out) = 4, fully wired
     assert res.best_net.n_hidden == 4
     assert int(res.best_net.mask.sum()) == 2 * 4 + 4 * 2
@@ -116,7 +114,7 @@ def test_scheme_a_beats_fixed_mlp_of_equal_size_on_moons():
         max_neurons=12,
         optimizer=OptimizerConfig(learning_rate=0.05, epochs_per_iteration=40),
     )
-    res = run_scheme_a(cfg, ds)
+    res = run_scheme(cfg, ds)
     target = int(res.best_net.mask.sum())
     # paired baseline: plain MLP sized to the same connection count
     h = max(1, round(target / (ds.n_features + ds.n_classes)))
@@ -144,7 +142,7 @@ def test_scheme_b_small_dataset_compresses_5x_within_1pct():
         max_connections=10000,
         optimizer=OptimizerConfig(epochs_per_iteration=25),
     )
-    res = run_scheme_b(cfg, ds)
+    res = run_scheme(cfg, ds)
     assert connection_count(res.best_net) * 5 <= dense_conns
     assert res.best_val_acc >= dense_acc - 0.01
 
@@ -160,7 +158,7 @@ def test_scheme_b_reported_model_within_budget():
         max_connections=10000,
         optimizer=OptimizerConfig(epochs_per_iteration=10),
     )
-    res = run_scheme_b(cfg, ds)
+    res = run_scheme(cfg, ds)
     n_bias = res.best_net.n_hidden + res.best_net.n_out
     assert connection_count(res.best_net) <= 30 + n_bias
     assert int(res.best_net.mask.sum()) <= 30
@@ -179,7 +177,7 @@ def test_scheme_b_prune_budget_equal_to_size_degenerates_to_training():
         init_skip_growth=False,
         optimizer=OptimizerConfig(epochs_per_iteration=5),
     )
-    res = run_scheme_b(cfg, ds)
+    res = run_scheme(cfg, ds)
     # nothing is ever pruned or grown: mask stays fully dense
     assert int(res.best_net.mask.sum()) == dense_edges
     assert all(r.connections == dense_edges + 16 + 3 for r in res.history)
@@ -196,7 +194,7 @@ def test_scheme_c_depth_constant_and_adjacent_only():
         max_connections=10000,
         optimizer=OptimizerConfig(epochs_per_iteration=10),
     )
-    res = run_scheme_c(cfg, ds)
+    res = run_scheme(cfg, ds)
     depths = [r.depth for r in res.history]
     assert all(d == 3 for d in depths)
     net = res.best_net
@@ -242,7 +240,7 @@ def test_scheme_c_matches_reference_prune_retrain_restore_loop():
         archops.grow_connections(ref, GrowthPolicy("full", adjacent_only=True), rng)
         train_weights(ref, ds, opt, rng)
 
-    res = run_scheme_c(cfg, ds)
+    res = run_scheme(cfg, ds)
     # driver follows the identical sequence with the identical stream, so the
     # final best network must match one of the reference post-prune states
     n_final = res.best_net.n
@@ -330,18 +328,10 @@ def test_manifest_roundtrip_bit_exact():
         optimizer=OptimizerConfig(kind="adam", learning_rate=0.01, weight_decay=1e-3),
         noise_std=0.034,
     )
-    blob = json.dumps(cfg.to_dict(), sort_keys=True)
-    back = SchemeConfig.from_dict(json.loads(blob))
+    blob = json.dumps(asdict(cfg), sort_keys=True)
+    back = SchemeConfig(**json.loads(blob))
     assert back == cfg
-    assert json.dumps(back.to_dict(), sort_keys=True) == blob
-
-
-def test_scheme_dispatchers_validate_scheme():
-    cfg = SchemeConfig(scheme="A", seed=0, max_iterations=1)
-    with pytest.raises(ValueError):
-        run_scheme_b(cfg, None)
-    with pytest.raises(ValueError):
-        run_scheme_c(cfg, None)
+    assert json.dumps(asdict(back), sort_keys=True) == blob
 
 
 def test_reference_recipes_encode_the_standard_settings():
@@ -386,7 +376,7 @@ def test_reference_recipe_mechanics_scaled_down():
     cfg.max_connections = 1000
     cfg.max_iterations = 3
     cfg.optimizer = OptimizerConfig(epochs_per_iteration=5)
-    res = run_scheme_a(cfg, ds)
+    res = run_scheme(cfg, ds)
     # seeded with 20 hidden fully wired = 3*20 + 20*3 = 120 edges, 95% cut
     assert res.history[0].connections > 0
     assert res.best_val_acc > 0.5
