@@ -124,9 +124,8 @@ def possible_pair_count(net: Network, adjacent_only: bool = False) -> int:
 def _gradient_scores(net: Network, batch: tuple) -> np.ndarray:
     """Mean over the batch of |dLoss/du_j * x_i| for every (i, j) pair."""
     x, labels = batch
-    traces: list = []
-    _, _, _, du = loss_and_gradients(net, x, labels, _trace_out=traces)
-    acts = traces[0].x
+    _, _, _, du = loss_and_gradients(net, x, labels)
+    acts = forward(net, x).x
     return (np.abs(acts).T @ np.abs(du)) / acts.shape[0]
 
 

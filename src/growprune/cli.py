@@ -54,16 +54,23 @@ def _dump_json(obj, path: Path) -> None:
 
 
 class ArtifactTracker:
-    """Collects written artifact paths; removes them all if the run fails."""
+    """Collects written artifact paths and the directories it created;
+    removes the files, then those directories left empty, if the run fails."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.paths: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+        self.dirs: list[Path] = []
+        self._mkdir(out_dir)
+
+    def _mkdir(self, d: Path) -> None:
+        missing = [p for p in (d, *d.parents) if not p.exists()]
+        d.mkdir(parents=True, exist_ok=True)
+        self.dirs += reversed(missing)
 
     def path(self, *parts) -> Path:
         p = self.out_dir.joinpath(*parts)
-        p.parent.mkdir(parents=True, exist_ok=True)
+        self._mkdir(p.parent)
         self.paths.append(p)
         return p
 
@@ -72,6 +79,11 @@ class ArtifactTracker:
             try:
                 p.unlink(missing_ok=True)
             except OSError:
+                pass
+        for d in reversed(self.dirs):  # deepest first
+            try:
+                d.rmdir()
+            except OSError:  # not empty, or already gone
                 pass
 
 
@@ -273,7 +285,16 @@ def _scheme_config(manifest: dict, args, ds: Dataset, seed: int) -> SchemeConfig
         dense = sum(a * b for a, b in zip(sizes, sizes[1:]))
         spec["final_connections"] = max(ds.n_classes, dense // 10)
     spec.pop("hidden", None)
-    return _config(SchemeConfig, spec, "scheme")
+    cfg = _config(SchemeConfig, spec, "scheme")
+    sizes = cfg.layer_sizes
+    if cfg.scheme in ("B", "C") and not (
+        isinstance(sizes, list) and sizes[:1] + sizes[-1:] == [ds.n_features, ds.n_classes]
+    ):
+        raise ManifestError(
+            f"manifest section 'scheme': layer_sizes {sizes!r} do not match the dataset "
+            f"({ds.n_features} features, {ds.n_classes} classes)"
+        )
+    return cfg
 
 
 def cmd_synth(args) -> int:
@@ -444,7 +465,7 @@ def _load_features_csv(path, delimiter=",") -> np.ndarray:
 
 def cmd_infer(args) -> int:
     try:
-        bundle = load_bundle(args.bundle)
+        bundle, net = load_bundle(args.bundle)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load bundle {args.bundle}: {exc}") from exc
     x = _load_features_csv(args.features, args.delimiter)
@@ -454,7 +475,7 @@ def cmd_infer(args) -> int:
         print(f"0 predictions -> {out_path}")
         return EXIT_OK
     try:
-        labels = bundle_predict(bundle, x)
+        labels = bundle_predict(bundle, x, net)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out_path.write_text("\n".join(str(v) for v in labels) + "\n")

@@ -6,11 +6,15 @@ upper-triangular binary mask) determines the depth of the network rather than
 a fixed layer structure. Pruned weights are exactly zero, which lets the
 forward pass ignore the mask entirely and work off the weight matrix alone.
 
-The evaluation engine processes neurons in fixed-size index blocks: one GEMM
-per block for contributions from all earlier neurons, plus a sequential walk
-only inside blocks that contain intra-block connections. All array shapes in
-the forward pass depend only on the neuron count, never on the mask pattern,
-so activating a connection with weight zero cannot perturb any float result.
+Forward and backward passes visit the same partition of the non-input
+neurons into segments (`_segments`): hidden neurons are cut wherever the
+layer id changes and every SEGMENT neurons, and the outputs form the last
+segment, so no segment mixes hidden and output neurons. Each segment costs
+one GEMM for the contributions of all earlier neurons, plus a sequential walk
+over the columns whose weights have an in-segment in-edge. The partition
+depends only on neuron counts and layer ids and the walk only on nonzero
+weights, never on the mask, so activating a connection with weight zero
+cannot perturb any float result.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-DEFAULT_BLOCK = 128
+SEGMENT = 128  # most hidden neurons in one segment
 
 
 class UnreachableOutputError(Exception):
@@ -121,11 +125,18 @@ class ForwardTrace:
         return self.x[:, self.x.shape[1] - n_out :]
 
 
-def _block_starts(n_in: int, n: int, block: int) -> list[int]:
-    return list(range(n_in, n, block))
+def _segments(net: Network) -> list[tuple[int, int]]:
+    """Neuron ranges [s, e) evaluated as units, in order; see the module doc."""
+    he = net.hidden_end
+    runs = [net.n_in]
+    if net.layers is not None:
+        runs += (np.flatnonzero(np.diff(net.layers[net.n_in : he])) + net.n_in + 1).tolist()
+    runs.append(he)
+    segs = [(s, min(s + SEGMENT, e)) for a, e in zip(runs, runs[1:]) for s in range(a, e, SEGMENT)]
+    return segs + [(he, net.n)]
 
 
-def forward(net: Network, batch: np.ndarray, block: int = DEFAULT_BLOCK) -> ForwardTrace:
+def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     """Evaluate the network on a (batch x n_in) matrix of inputs.
 
     Neurons are evaluated in global order: u_j = bias_j + sum_{i<j} w_ij x_i.
@@ -143,27 +154,15 @@ def forward(net: Network, batch: np.ndarray, block: int = DEFAULT_BLOCK) -> Forw
     x = np.empty((b, n))
     u[:, : net.n_in] = batch
     x[:, : net.n_in] = batch
-    he = net.hidden_end
-    for s in _block_starts(net.n_in, n, block):
-        e = min(s + block, n)
+    for s, e in _segments(net):
+        act = _relu if s < net.hidden_end else np.copy
         ub = net.bias[s - net.n_in : e - net.n_in] + x[:, :s] @ w[:s, s:e]
+        x[:, s:e] = act(ub)
         wb = w[s:e, s:e]
-        if e - s > 1 and np.any(wb):
-            # intra-block connections: walk columns sequentially
-            for j in range(s, e):
-                c = j - s
-                if c > 0 and np.any(wb[:c, c]):
-                    ub[:, c] += x[:, s:j] @ wb[:c, c]
-                col = ub[:, c] if j >= he else _relu(ub[:, c])
-                x[:, j] = col
-        else:
-            if e <= he:
-                x[:, s:e] = _relu(ub)
-            elif s >= he:
-                x[:, s:e] = ub
-            else:
-                x[:, s:he] = _relu(ub[:, : he - s])
-                x[:, he:e] = ub[:, he - s :]
+        # in-segment edges: finish those columns in order
+        for c in np.flatnonzero(wb.any(axis=0)):
+            ub[:, c] += x[:, s : s + c] @ wb[:c, c]
+            x[:, s + c] = act(ub[:, c])
         u[:, s:e] = ub
     return ForwardTrace(u=u, x=x)
 
@@ -204,8 +203,6 @@ def loss_and_gradients(
     batch: np.ndarray,
     labels: np.ndarray,
     weight_decay: float = 0.0,
-    block: int = DEFAULT_BLOCK,
-    _trace_out: list | None = None,
     _dw_buf: np.ndarray | None = None,
 ):
     """Loss plus gradients: (loss, dW, dBias, dU).
@@ -215,9 +212,7 @@ def loss_and_gradients(
     and sample, which gradient-based connection growth consumes.
     """
     labels = _check_labels(net, labels)
-    trace = forward(net, batch, block=block)
-    if _trace_out is not None:
-        _trace_out.append(trace)
+    trace = forward(net, batch)
     n, b = net.n, trace.x.shape[0]
     he = net.hidden_end
     w = net.weights
@@ -238,27 +233,19 @@ def loss_and_gradients(
     dx = np.zeros((b, n))
     du[:, he:] = dlogits
     dw = np.zeros((n, n)) if _dw_buf is None else _dw_buf
-    starts = _block_starts(net.n_in, n, block)
-    for s in reversed(starts):
-        e = min(s + block, n)
-        mb = net.mask[s:e, s:e]
-        if e - s > 1 and np.any(mb):
-            # intra-block active pairs: finalize columns in reverse order
-            for j in range(e - 1, s - 1, -1):
-                c = j - s
-                if j < he:
-                    du[:, j] = dx[:, j] * _relu_grad(trace.u[:, j])
-                if c > 0:
-                    if np.any(mb[:c, c]):
-                        dx[:, s:j] += du[:, j : j + 1] * w[s:j, j][None, :]
-                    dw[s:j, j] = trace.x[:, s:j].T @ du[:, j]
-        else:
-            if s < he:
-                lim = min(e, he)
-                du[:, s:lim] = dx[:, s:lim] * _relu_grad(trace.u[:, s:lim])
-        if s > 0:
-            dx[:, :s] += du[:, s:e] @ w[:s, s:e].T
-            dw[:s, s:e] = trace.x[:, :s].T @ du[:, s:e]
+    for s, e in reversed(_segments(net)):
+        if s < he:
+            wb = w[s:e, s:e]
+            # in-segment edges: finish those columns in reverse order
+            for c in np.flatnonzero(wb.any(axis=0))[::-1]:
+                j = s + c
+                du[:, j] = dx[:, j] * _relu_grad(trace.u[:, j])
+                dx[:, s:j] += du[:, j : j + 1] * wb[:c, c][None, :]
+            du[:, s:e] = dx[:, s:e] * _relu_grad(trace.u[:, s:e])
+        dx[:, :s] += du[:, s:e] @ w[:s, s:e].T
+        # of rows s:e only the in-segment edges above the diagonal survive
+        # the mask below
+        dw[:e, s:e] = trace.x[:, :e].T @ du[:, s:e]
     du[:, : net.n_in] = dx[:, : net.n_in]
 
     dw *= net.mask

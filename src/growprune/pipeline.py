@@ -453,9 +453,42 @@ def save_bundle(bundle: dict, path) -> None:
         json.dump(bundle, f)
 
 
-def load_bundle(path) -> dict:
-    """Read a bundle; raises ValueError unless its checkpoint is a valid
-    network and its label map covers exactly the network's outputs."""
+def _finite(params: dict, key: str) -> np.ndarray:
+    if key not in params:
+        raise ValueError(f"missing {key}")
+    a = np.asarray(params[key], dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{key} must hold finite numbers")
+    return a
+
+
+def _step_widths(step) -> tuple[int, int]:
+    """(input, output) width of one preprocess step; ValueError unless valid."""
+    op = step.get("op") if isinstance(step, dict) else None
+    if op == "normalize":
+        lo, scale = _finite(step, "min"), _finite(step, "scale")
+        if lo.ndim != 1 or lo.shape != scale.shape:
+            raise ValueError("normalize needs min and scale lists of one length")
+        return lo.size, lo.size
+    if op == "reduce":
+        r = step.get("reducer")
+        if not isinstance(r, dict) or r.get("kind") not in REDUCER_KINDS:
+            raise ValueError("reduce needs a reducer of a known kind")
+        d, k = r.get("d"), r.get("k")
+        if type(d) is not int or type(k) is not int:
+            raise ValueError("reducer d and k must be integers")
+        shapes = {"mean": (d,), "components": (d, k)} if r["kind"] == "pca" else {"matrix": (d, k)}
+        for key, shape in shapes.items():
+            if _finite(r, key).shape != shape:
+                raise ValueError(f"reducer {key} must have shape {shape}")
+        return d, k
+    raise ValueError(f"unknown preprocess op: {op!r}")
+
+
+def load_bundle(path) -> tuple[dict, Network]:
+    """Read a bundle and build its network; raises ValueError unless the
+    checkpoint is a valid network, the label map covers exactly its outputs
+    and the preprocess steps chain from the raw features into its inputs."""
     with open(path) as f:
         bundle = json.load(f)
     if not isinstance(bundle, dict) or bundle.get("format") != "growprune-bundle":
@@ -465,7 +498,21 @@ def load_bundle(path) -> dict:
     ids = list(label_map.values()) if isinstance(label_map, dict) else [None]
     if not all(type(v) is int for v in ids) or sorted(ids) != list(range(net.n_out)):
         raise ValueError(f"label_map must map onto 0..{net.n_out - 1}")
-    return bundle
+    steps = bundle.get("preprocess")
+    if not isinstance(steps, list):
+        raise ValueError("preprocess must be a list of steps")
+    width = None
+    for i, step in enumerate(steps):
+        try:
+            d, k = _step_widths(step)
+        except ValueError as exc:
+            raise ValueError(f"preprocess step {i}: {exc}") from exc
+        if width not in (None, d):
+            raise ValueError(f"preprocess step {i} takes {d} features, the step before gives {width}")
+        width = k
+    if width not in (None, net.n_in):
+        raise ValueError(f"preprocess gives {width} features, the network takes {net.n_in}")
+    return bundle, net
 
 
 def bundle_apply_preprocess(bundle: dict, features: np.ndarray) -> np.ndarray:
@@ -480,9 +527,9 @@ def bundle_apply_preprocess(bundle: dict, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def bundle_predict(bundle: dict, raw_features: np.ndarray) -> list:
-    """Raw features -> raw labels through the stored preprocess and network."""
-    net = network_from_dict(bundle["checkpoint"])
+def bundle_predict(bundle: dict, raw_features: np.ndarray, net: Network) -> list:
+    """Raw features -> raw labels through the stored preprocess and `net`,
+    the bundle's network (as `load_bundle` returns it)."""
     x = bundle_apply_preprocess(bundle, raw_features)
     if x.shape[1] != net.n_in:
         raise ValueError(f"feature width mismatch: network expects {net.n_in}")

@@ -3,12 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from growprune.network import Network
 
 ACCEPTANCE_LINES: list[str] = []
+
+# reproducible property tests, with no per-example deadline on a loaded host
+settings.register_profile("growprune", derandomize=True, deadline=None)
+settings.load_profile("growprune")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -71,9 +71,8 @@ def test_gradient_growth_matches_exhaustive_ranking(rng):
             continue
         # oracle: per-candidate mean |x_i * du_j| computed pairwise from the
         # gradient trace, ranked by (-score, i, j)
-        traces = []
-        _, _, _, du = loss_and_gradients(net, x, y, _trace_out=traces)
-        acts = traces[0].x
+        _, _, _, du = loss_and_gradients(net, x, y)
+        acts = forward(net, x).x
         scored = []
         for i, j in cand:
             g = float(np.mean(np.abs(acts[:, i] * du[:, j])))

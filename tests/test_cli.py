@@ -198,7 +198,7 @@ def test_sweep_and_infer_reproduce_val_accuracy(tmp_path):
     preds = [int(v) for v in preds_path.read_text().split()]
     truth = ds.labels[ds.splits["val"]]
     acc = float(np.mean([p == t for p, t in zip(preds, truth)]))
-    bundle = load_bundle(out / "bundle.json")
+    bundle, _ = load_bundle(out / "bundle.json")
     assert acc == bundle["metrics"]["val_acc"]
 
 
@@ -248,6 +248,17 @@ def test_infer_valid_bundle_predicts(tmp_path):
     assert set((tmp_path / "p.txt").read_text().split()) <= {"a", "b"}
 
 
+NORMALIZE_5 = {"op": "normalize", "min": [0.0] * 5, "scale": [0.5] * 5}
+PCA_5_TO_3 = {"kind": "pca", "d": 5, "k": 3, "mean": [0.1] * 5, "components": np.eye(5, 3).tolist()}
+PCA_STEP = {"op": "reduce", "reducer": PCA_5_TO_3}
+
+
+def test_infer_bundle_with_preprocess_chain_predicts(tmp_path):
+    bundle = write_bundle(tmp_path, lambda b: b.__setitem__("preprocess", [NORMALIZE_5, PCA_STEP]))
+    assert run_infer(tmp_path, bundle, "1,2,3,4,5\n0,0,0,0,0\n") == 0
+    assert len((tmp_path / "p.txt").read_text().split()) == 2
+
+
 TAMPERED_BUNDLES = {
     "wrapped_weight_index": lambda b: b["checkpoint"]["weights"].append([-1, -1, 5.0]),
     "weight_off_mask": lambda b: b["checkpoint"]["weights"].append([0, 7, 5.0]),
@@ -255,6 +266,21 @@ TAMPERED_BUNDLES = {
     "wrong_format": lambda b: b.__setitem__("format", "something-else"),
     "label_map_gap": lambda b: b.__setitem__("label_map", {"a": 0, "b": 2}),
     "label_map_short": lambda b: b.__setitem__("label_map", {"a": 0}),
+    "preprocess_dict": lambda b: b.__setitem__("preprocess", NORMALIZE_5),
+    "step_without_op": lambda b: b.__setitem__("preprocess", [{"min": [0] * 3, "scale": [1] * 3}]),
+    "unknown_op": lambda b: b.__setitem__("preprocess", [{"op": "whiten"}]),
+    "normalize_without_min": lambda b: b.__setitem__("preprocess", [{"op": "normalize", "scale": [1] * 3}]),
+    "normalize_nan_scale": lambda b: b.__setitem__(
+        "preprocess", [{"op": "normalize", "min": [0] * 3, "scale": [1, float("nan"), 1]}]
+    ),
+    "reduce_without_reducer": lambda b: b.__setitem__("preprocess", [{"op": "reduce"}]),
+    "reducer_matrix_shape": lambda b: b.__setitem__(
+        "preprocess", [{"op": "reduce", "reducer": {**PCA_5_TO_3, "kind": "rp_sign"}}]
+    ),
+    "width_into_network": lambda b: b.__setitem__("preprocess", [NORMALIZE_5]),
+    "width_between_steps": lambda b: b.__setitem__(
+        "preprocess", [{"op": "normalize", "min": [0] * 4, "scale": [1] * 4}, PCA_STEP]
+    ),
 }
 
 
@@ -295,6 +321,8 @@ MANIFEST_ERRORS = {
     "sweep_zero_seeds_flag": ("sweep", lambda m: None, ["--seeds", "0"]),
     "baseline_unknown_key": ("baseline", lambda m: m.update(baseline={"widht": 8}), []),
     "baseline_zero_seeds": ("baseline", lambda m: m.update(seeds=0), []),
+    "scheme_layer_sizes_mismatch": ("synth", lambda m: m["scheme"].update(layer_sizes=[10, 16, 4]), []),
+    "scheme_layer_sizes_classes": ("synth", lambda m: m["scheme"].update(layer_sizes=[12, 16, 3]), []),
 }
 
 
@@ -334,6 +362,17 @@ def test_artifacts_confined_to_out_dir(tmp_path, monkeypatch):
     assert main(["synth", "--manifest", m]) == 0
     created = {p for p in tmp_path.rglob("*")} - before
     assert all(str(p).startswith(str(out)) for p in created)
+
+
+def test_failed_run_removes_the_directories_it_created(tmp_path):
+    out = tmp_path / "new" / "broken"
+    manifest = toy_manifest(out, seeds=2)
+    manifest["scheme"]["steps"] = [{"op": "no_such_op"}]
+    (tmp_path / "new").mkdir()
+    (tmp_path / "new" / "keep.txt").write_text("mine\n")
+    assert main(["synth", "--manifest", write_manifest(tmp_path, manifest)]) == 4
+    assert not out.exists()
+    assert (tmp_path / "new" / "keep.txt").read_text() == "mine\n"
 
 
 def test_failed_run_removes_partial_artifacts(tmp_path):

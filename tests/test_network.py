@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growprune.network import (
+    SEGMENT,
     Network,
     UnreachableOutputError,
     accuracy,
@@ -19,6 +21,7 @@ from growprune.network import (
     network_from_dict,
     prune_isolated_neurons,
     save_checkpoint,
+    _segments,
 )
 from growprune.numerics import make_rng
 from conftest import random_dag
@@ -67,14 +70,107 @@ def test_forward_matches_per_neuron_oracle(rng):
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
-def test_forward_blocked_evaluation_matches_oracle(rng):
-    # force several blocks to exercise the intra-block walk
-    net = random_dag(rng, n_in=3, n_hidden=20, n_out=2, density=0.5)
-    sample = rng.normal(size=3)
-    want = naive_forward(3, 2, net.mask, net.weights, net.bias, sample)
-    for block in (4, 7, 64):
-        got = forward(net, sample[None, :], block=block).x[0]
-        assert np.allclose(got, want, atol=1e-12, rtol=0)
+def layered_dag(rng, widths, n_in=3, n_out=2, density=0.3):
+    """random_dag whose hidden neurons carry consecutive runs of layer ids, one
+    run per entry of `widths`; edges inside a run are kept."""
+    net = random_dag(rng, n_in=n_in, n_hidden=sum(widths), n_out=n_out, density=density)
+    ids = np.repeat(np.arange(1, len(widths) + 1), widths)
+    net.layers = np.concatenate([np.zeros(n_in, np.int64), ids, np.full(n_out, len(widths) + 1)])
+    return net
+
+
+def test_segments_follow_layers_and_keep_outputs_apart(rng):
+    net = from_mlp([5, 130, 20, 3], rng)
+    assert _segments(net) == [(5, 133), (133, 135), (135, 155), (155, 158)]
+    # without layer ids only the width cap and the output split cut
+    net.layers = None
+    assert _segments(net) == [(5, 133), (133, 155), (155, 158)]
+    assert _segments(Network(4, 0, 2)) == [(4, 6)]
+    # a hidden layer id that comes back after another one starts a new segment
+    net = layered_dag(rng, [2, 3])
+    net.layers[net.n_in + 4] = 1
+    assert _segments(net) == [(3, 5), (5, 7), (7, 8), (8, 10)]
+
+
+def test_forward_multi_segment_network_matches_oracle(rng):
+    # three layer ids, one layer wider than SEGMENT, edges inside every segment
+    while True:
+        net = layered_dag(rng, [SEGMENT + 9, 5, 12])
+        segs = _segments(net)
+        if all(np.any(net.weights[s:e, s:e]) for s, e in segs[:-1]):
+            break
+    assert len(segs) == 5
+    x = rng.normal(size=(3, net.n_in))
+    got = forward(net, x).x
+    for row, sample in zip(got, x):
+        want = naive_forward(net.n_in, net.n_out, net.mask, net.weights, net.bias, sample)
+        assert np.allclose(row, want, atol=1e-12, rtol=0)
+
+
+def free_intra_segment_pairs(net):
+    """Inactive (i, j) pairs with i and j hidden and in the same segment."""
+    return [
+        (int(i) + s, int(j) + s)
+        for s, e in _segments(net)[:-1]
+        for i, j in np.argwhere(np.triu(net.mask[s:e, s:e] == 0, 1))
+    ]
+
+
+def test_gradients_match_fd_on_multi_segment_network(rng):
+    net, x, y = well_conditioned_dag(rng, n_in=3, n_hidden=10, n_out=2, density=0.5)
+    net.layers = np.array([0] * 3 + [1] * 4 + [2] * 3 + [3] * 3 + [4] * 2)
+    trace = forward(net, x)
+    _, _, _, du = loss_and_gradients(net, x, y)
+    # an active zero-weight edge inside a segment, between two neurons that
+    # carry signal: its gradient must not vanish with its weight
+    i, j = next(
+        (i, j) for i, j in free_intra_segment_pairs(net) if np.any(trace.x[:, i] * du[:, j])
+    )
+    net.mask[i, j] = 1.0
+    _, dw, _, du = loss_and_gradients(net, x, y)
+    # du already carries the 1/batch of the mean loss
+    assert dw[i, j] != 0.0
+    assert np.isclose(dw[i, j], np.sum(trace.x[:, i] * du[:, j]), rtol=1e-12, atol=0)
+    assert_gradients_match_fd(net, x, y)
+    assert_gradients_match_fd(net, x, y, weight_decay=1e-3)
+
+
+def test_gradients_match_fd_on_wide_segment(rng):
+    while True:
+        net = layered_dag(rng, [SEGMENT + 9, 6], density=0.05)
+        x = rng.normal(size=(3, net.n_in))
+        uh = forward(net, x).u[:, net.n_in : net.hidden_end]
+        if np.abs(uh).min() > 1e-3:
+            break
+    y = rng.integers(0, net.n_out, size=3)
+    s, e = _segments(net)[0]
+    assert e - s == SEGMENT
+    zero = free_intra_segment_pairs(net)[0]
+    assert s <= zero[0] < zero[1] < e
+    net.mask[zero] = 1.0
+    ii, jj = np.nonzero(net.mask)
+    pick = rng.choice(ii.size, size=40, replace=False)
+    assert_gradients_match_fd(net, x, y, edges=[zero, *zip(ii[pick], jj[pick])])
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_hidden=st.integers(0, 2 * SEGMENT + 20),
+    n_layers=st.integers(0, 5),
+    sort_layers=st.booleans(),
+    density=st.floats(0.0, 0.3),
+)
+@settings(max_examples=50)
+def test_forward_matches_oracle_on_random_layer_ids(seed, n_hidden, n_layers, sort_layers, density):
+    rng = make_rng(seed)
+    net = random_dag(rng, n_hidden=n_hidden, density=density)
+    if n_layers:
+        ids = rng.integers(0, n_layers, size=net.n)
+        net.layers = np.sort(ids) if sort_layers else ids
+    sample = rng.normal(size=net.n_in)
+    got = forward(net, sample[None, :]).x[0]
+    want = naive_forward(net.n_in, net.n_out, net.mask, net.weights, net.bias, sample)
+    assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
 def test_forward_order_invariant_under_hidden_permutation(rng):
@@ -128,14 +224,15 @@ def well_conditioned_dag(rng, **kw):
             return net, x, y
 
 
-def assert_gradients_match_fd(net, x, y, weight_decay=0.0, rel=1e-6, asb=1e-8):
+def assert_gradients_match_fd(net, x, y, weight_decay=0.0, rel=1e-6, asb=1e-8, edges=None):
     _, dw, dbias, _ = loss_and_gradients(net, x, y, weight_decay=weight_decay)
 
     def loss_fn():
         return loss_value(net, x, y, weight_decay=weight_decay)
 
-    ii, jj = np.nonzero(net.mask)
-    for i, j in zip(ii, jj):
+    if edges is None:
+        edges = zip(*np.nonzero(net.mask))
+    for i, j in edges:
         fd = fd_gradient(
             loss_fn,
             lambda: net.weights[i, j],

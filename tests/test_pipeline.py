@@ -230,9 +230,9 @@ def test_run_pipeline_end_to_end_and_bundle_replay(tmp_path):
     }
     path = tmp_path / "bundle.json"
     save_bundle(res.bundle, path)
-    bundle = load_bundle(path)
+    bundle, net = load_bundle(path)
     raw_val = ds.features[ds.splits["val"]]
-    preds = bundle_predict(bundle, raw_val)
+    preds = bundle_predict(bundle, raw_val, net)
     acc = float(np.mean([int(p) == int(y) for p, y in zip(preds, ds.labels[ds.splits["val"]])]))
     assert acc == bundle["metrics"]["val_acc"]
 
