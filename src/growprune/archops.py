@@ -297,10 +297,16 @@ def prune_connections(net: Network, policy: PrunePolicy) -> Network:
                     n_active,
                 )
             return net
+        # keep every magnitude above the budget-th largest, then that value's
+        # ties in (i, j) order, which np.nonzero already follows
         mags = np.abs(net.weights[ii, jj])
-        order = np.lexsort((jj, ii, -mags))
-        cut = order[policy.budget :]
-        di, dj = ii[cut], jj[cut]
+        keep = np.zeros(n_active, dtype=bool)
+        if policy.budget:
+            cut = np.partition(mags, n_active - policy.budget)[n_active - policy.budget]
+            keep = mags > cut
+            ties = np.flatnonzero(mags == cut)
+            keep[ties[: policy.budget - np.count_nonzero(keep)]] = True
+        di, dj = ii[~keep], jj[~keep]
     net.mask[di, dj] = 0.0
     net.weights[di, dj] = 0.0
     prune_isolated_neurons(net)

@@ -80,6 +80,13 @@ class Network:
     def hidden_end(self) -> int:
         return self.n_in + self.n_hidden
 
+    @property
+    def rect(self) -> tuple[slice, slice]:
+        """The legal rectangle: rows that may send an edge (inputs and hidden)
+        by columns that may receive one (hidden and outputs). Every entry of
+        the mask and weights outside it is zero."""
+        return slice(0, self.hidden_end), slice(self.n_in, self.n)
+
     def clone(self) -> "Network":
         return Network(
             self.n_in,
@@ -194,8 +201,13 @@ def loss_value(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay
     nll = lse - z[np.arange(len(labels)), labels]
     loss = float(nll.mean())
     if weight_decay:
-        loss += 0.5 * weight_decay * float((net.weights**2).sum())
+        loss += 0.5 * weight_decay * _sq_norm(net.weights[net.rect])
     return loss
+
+
+def _sq_norm(w: np.ndarray) -> float:
+    # einsum reduces a strided view without the copy vdot would make
+    return float(np.einsum("ij,ij->", w, w))
 
 
 def loss_and_gradients(
@@ -207,15 +219,18 @@ def loss_and_gradients(
 ):
     """Loss plus gradients: (loss, dW, dBias, dU).
 
-    dW is masked (exactly zero wherever the mask is zero) and includes the
-    weight-decay term on active weights. dU holds dLoss/du for every neuron
-    and sample, which gradient-based connection growth consumes.
+    dW is n x n and masked (exactly zero wherever the mask is zero) and
+    includes the weight-decay term on active weights; only the legal
+    rectangle `net.rect` is written, so a reused `_dw_buf` must be zero
+    outside it. dU holds dLoss/du for every neuron and sample, which
+    gradient-based connection growth consumes.
     """
     labels = _check_labels(net, labels)
     trace = forward(net, batch)
     n, b = net.n, trace.x.shape[0]
     he = net.hidden_end
     w = net.weights
+    rect = net.rect
 
     logits = trace.logits(net.n_out)
     p = _softmax(logits)
@@ -223,7 +238,7 @@ def loss_and_gradients(
     lse = np.log(np.exp(z).sum(axis=1))
     loss = float((lse - z[np.arange(b), labels]).mean())
     if weight_decay:
-        loss += 0.5 * weight_decay * float((w**2).sum())
+        loss += 0.5 * weight_decay * _sq_norm(w[rect])
 
     dlogits = p.copy()
     dlogits[np.arange(b), labels] -= 1.0
@@ -243,14 +258,16 @@ def loss_and_gradients(
                 dx[:, s:j] += du[:, j : j + 1] * wb[:c, c][None, :]
             du[:, s:e] = dx[:, s:e] * _relu_grad(trace.u[:, s:e])
         dx[:, :s] += du[:, s:e] @ w[:s, s:e].T
-        # of rows s:e only the in-segment edges above the diagonal survive
-        # the mask below
-        dw[:e, s:e] = trace.x[:, :e].T @ du[:, s:e]
+        # outputs send nothing; of rows s:e only the in-segment edges above
+        # the diagonal survive the mask below
+        r = min(e, he)
+        dw[:r, s:e] = trace.x[:, :r].T @ du[:, s:e]
     du[:, : net.n_in] = dx[:, : net.n_in]
 
-    dw *= net.mask
+    dw_rect = dw[rect]
+    dw_rect *= net.mask[rect]
     if weight_decay:
-        dw += weight_decay * w
+        dw_rect += weight_decay * w[rect]
     dbias = du[:, net.n_in :].sum(axis=0)
     return loss, dw, dbias, du
 

@@ -173,20 +173,26 @@ def train_weights(
 ) -> Network:
     """Minibatch training for epochs_per_iteration epochs, gradients masked.
 
-    Weight decay applies to active weights only; biases decay-free. On loss
-    divergence the entry weights are restored and TrainingDiverged raised.
+    Weight decay applies to active weights only; biases decay-free. The
+    optimizer state and every update cover only the legal rectangle
+    `net.rect`; the weights outside it stay exactly zero. On loss divergence
+    the entry weights are restored and TrainingDiverged raised.
     """
     x_train, y_train = data.train_xy()
-    snap_w, snap_b = net.weights.copy(), net.bias.copy()
+    rect = net.rect
+    w = net.weights[rect]  # a view: updating it updates net.weights
+    snap_w, snap_b = w.copy(), net.bias.copy()
     lr = opt.learning_rate * lr_scale
-    n = net.n
-    dw_buf = np.zeros((n, n))
+    dw_buf = np.zeros((net.n, net.n))
+    dw = dw_buf[rect]
+    tmp = np.empty_like(w)
     if opt.kind == "sgd_momentum":
-        vel_w = np.zeros((n, n))
+        vel_w = np.zeros_like(w)
         vel_b = np.zeros_like(net.bias)
     else:
-        m_w = np.zeros((n, n))
-        v_w = np.zeros((n, n))
+        m_w = np.zeros_like(w)
+        v_w = np.zeros_like(w)
+        den = np.empty_like(w)
         m_b = np.zeros_like(net.bias)
         v_b = np.zeros_like(net.bias)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -197,7 +203,7 @@ def train_weights(
         with np.errstate(over="ignore", invalid="ignore"):
             for _epoch in range(opt.epochs_per_iteration):
                 for idx in _minibatches(len(y_train), opt.batch_size, rng):
-                    loss, dw, dbias, _ = loss_and_gradients(
+                    loss, _, dbias, _ = loss_and_gradients(
                         net,
                         x_train[idx],
                         y_train[idx],
@@ -211,31 +217,34 @@ def train_weights(
                         vel_w += dw
                         vel_b *= opt.momentum
                         vel_b += dbias
-                        net.weights -= lr * vel_w
+                        w -= np.multiply(lr, vel_w, out=tmp)
                         net.bias -= lr * vel_b
                     else:
                         step += 1
                         m_w *= beta1
-                        m_w += (1 - beta1) * dw
+                        m_w += np.multiply(1 - beta1, dw, out=tmp)
                         v_w *= beta2
-                        v_w += (1 - beta2) * dw * dw
+                        np.multiply(1 - beta2, dw, out=tmp)
+                        v_w += np.multiply(tmp, dw, out=tmp)
                         m_b *= beta1
                         m_b += (1 - beta1) * dbias
                         v_b *= beta2
                         v_b += (1 - beta2) * dbias * dbias
                         bc1 = 1 - beta1**step
                         bc2 = 1 - beta2**step
-                        net.weights -= lr * (m_w / bc1) / (np.sqrt(v_w / bc2) + eps)
+                        np.multiply(lr, np.divide(m_w, bc1, out=tmp), out=tmp)
+                        np.add(np.sqrt(np.divide(v_w, bc2, out=den), out=den), eps, out=den)
+                        w -= np.divide(tmp, den, out=tmp)
                         net.bias -= lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + eps)
-        if not (np.all(np.isfinite(net.weights)) and np.all(np.isfinite(net.bias))):
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(net.bias))):
             raise TrainingDiverged("non-finite weights after update")
     except TrainingDiverged:
-        net.weights[:] = snap_w
+        w[...] = snap_w
         net.bias[:] = snap_b
         raise
     # masked gradients keep pruned weights at exactly zero, but the adam
     # denominator path must not have perturbed them either
-    net.weights *= net.mask
+    w *= net.mask[rect]
     return net
 
 
