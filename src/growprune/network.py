@@ -15,6 +15,12 @@ over the columns whose weights have an in-segment in-edge. The partition
 depends only on neuron counts and layer ids and the walk only on nonzero
 weights, never on the mask, so activating a connection with weight zero
 cannot perturb any float result.
+
+No edge ends at an input or starts at an output, so only the legal
+rectangle `Network.rect` (rows [0, hidden_end) by columns [n_in, n)) of the
+mask and weights can be nonzero. The backward pass writes dW only inside it,
+and it leaves dU's input columns at zero: it never computes the gradient
+with respect to an input, which nothing consumes.
 """
 
 from __future__ import annotations
@@ -223,7 +229,8 @@ def loss_and_gradients(
     includes the weight-decay term on active weights; only the legal
     rectangle `net.rect` is written, so a reused `_dw_buf` must be zero
     outside it. dU holds dLoss/du for every neuron and sample, which
-    gradient-based connection growth consumes.
+    gradient-based connection growth consumes; its input columns are zero,
+    since no edge ends at an input.
     """
     labels = _check_labels(net, labels)
     trace = forward(net, batch)
@@ -257,12 +264,12 @@ def loss_and_gradients(
                 du[:, j] = dx[:, j] * _relu_grad(trace.u[:, j])
                 dx[:, s:j] += du[:, j : j + 1] * wb[:c, c][None, :]
             du[:, s:e] = dx[:, s:e] * _relu_grad(trace.u[:, s:e])
-        dx[:, :s] += du[:, s:e] @ w[:s, s:e].T
+        # nothing consumes the gradient of an input, so rows :n_in are skipped
+        dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
         # outputs send nothing; of rows s:e only the in-segment edges above
         # the diagonal survive the mask below
         r = min(e, he)
         dw[:r, s:e] = trace.x[:, :r].T @ du[:, s:e]
-    du[:, : net.n_in] = dx[:, : net.n_in]
 
     dw_rect = dw[rect]
     dw_rect *= net.mask[rect]
