@@ -446,21 +446,31 @@ def _load_features_csv(path, delimiter=",") -> np.ndarray:
         text = Path(path).read_text()
     except OSError as exc:
         raise DataError(f"cannot read features file {path}: {exc}") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        return np.zeros((0, 0))
+    try:
+        x = np.loadtxt(lines, delimiter=delimiter, ndmin=2, comments=None)
+    except (ValueError, TypeError):
+        # float() accepts a few spellings loadtxt does not (1_0, non-ASCII
+        # digits, multi-character delimiters), and this names the bad row
+        x = _parse_rows(lines, delimiter)
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise DataError(f"features row {int(np.argmax(bad))}: non-finite value")
+    return x
+
+
+def _parse_rows(lines: list[str], delimiter: str) -> np.ndarray:
     rows = []
-    for i, line in enumerate(ln for ln in text.splitlines() if ln.strip()):
+    for i, line in enumerate(lines):
         try:
             rows.append([float(c) for c in line.split(delimiter)])
         except ValueError as exc:
             raise DataError(f"features row {i}: {exc}") from exc
         if len(rows[i]) != len(rows[0]):
             raise DataError(f"features row {i}: {len(rows[i])} values, row 0 has {len(rows[0])}")
-    if not rows:
-        return np.zeros((0, 0))
-    x = np.asarray(rows, dtype=np.float64)
-    bad = ~np.isfinite(x).all(axis=1)
-    if bad.any():
-        raise DataError(f"features row {int(np.argmax(bad))}: non-finite value")
-    return x
+    return np.asarray(rows, dtype=np.float64)
 
 
 def cmd_infer(args) -> int:

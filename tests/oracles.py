@@ -94,6 +94,45 @@ def topk_by_magnitude(entries, k):
     return {(i, j) for i, j, _ in ranked[:k]}
 
 
+def dense_sgd_momentum_step(weights, bias, state, dw, dbias, lr, momentum):
+    """One SGD-momentum step with n x n velocity, updating every entry in place.
+
+    state: dict that carries the velocities between steps (empty at first).
+    """
+    vel_w = state.setdefault("vel_w", np.zeros_like(weights))
+    vel_b = state.setdefault("vel_b", np.zeros_like(bias))
+    vel_w *= momentum
+    vel_w += dw
+    vel_b *= momentum
+    vel_b += dbias
+    weights -= lr * vel_w
+    bias -= lr * vel_b
+
+
+def dense_adam_step(weights, bias, state, dw, dbias, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam step with n x n moments, in place; see
+    dense_sgd_momentum_step for `state`."""
+    state["step"] = state.get("step", 0) + 1
+    for key, p, g in (("w", weights, dw), ("b", bias, dbias)):
+        m = state.setdefault("m_" + key, np.zeros_like(p))
+        v = state.setdefault("v_" + key, np.zeros_like(p))
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * g * g
+        bc1 = 1 - beta1 ** state["step"]
+        bc2 = 1 - beta2 ** state["step"]
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def lexsort_budget_keep(mask, weights, budget):
+    """Edges a budget prune keeps before isolated-neuron removal: the budget
+    largest |w|, ties in (i, j) order, ranked by one three-key lexsort."""
+    ii, jj = np.nonzero(mask)
+    order = np.lexsort((jj, ii, -np.abs(weights[ii, jj])))
+    return {(int(ii[t]), int(jj[t])) for t in order[:budget]}
+
+
 def pairwise_sq_dists(points):
     n = len(points)
     out = {}

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from growprune.cli import main
+from growprune.cli import _load_features_csv, main
 from growprune.data import load_dataset
 from growprune.network import checkpoint_dict, from_mlp, load_checkpoint
 from growprune.numerics import make_rng
@@ -306,6 +306,39 @@ def test_infer_unreadable_bundle_is_data_error(tmp_path, content):
 def test_infer_bad_rows_are_data_errors_naming_the_row(tmp_path, capsys, rows):
     assert run_infer(tmp_path, write_bundle(tmp_path), rows) == 3
     assert "row 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["1,2,3\n1,x,3\n", "1,2,3\n# note\n", "1,2,3\n1,,3\n", "1,2,3\n1,2,3,\n"],
+    ids=["unparseable", "comment", "empty_field", "trailing_delimiter"],
+)
+def test_infer_unparseable_rows_are_data_errors_naming_the_row(tmp_path, capsys, rows):
+    assert run_infer(tmp_path, write_bundle(tmp_path), rows) == 3
+    assert "row 1" in capsys.readouterr().err
+
+
+def test_infer_skips_whitespace_only_lines(tmp_path):
+    rows = "1,2,3\n   \n\t\n0,0,0\n \n"
+    assert run_infer(tmp_path, write_bundle(tmp_path), rows) == 0
+    assert len((tmp_path / "p.txt").read_text().split()) == 2
+    assert run_infer(tmp_path, write_bundle(tmp_path), " \n\t\n") == 0
+    assert (tmp_path / "p.txt").read_text() == ""
+
+
+def test_features_csv_parse_matches_python_floats(tmp_path):
+    rng = make_rng(7)
+    vals = rng.normal(scale=10.0 ** rng.integers(-8, 8, size=(40, 6)))
+    lines = [",".join(repr(float(v)) for v in row) for row in vals[:20]]
+    lines += [" , ".join(f"{v:.6g}" for v in row) for row in vals[20:]]
+    feats = tmp_path / "rows.csv"
+    feats.write_text("\r\n".join(lines) + "\n")
+    want = np.array([[float(c) for c in ln.split(",")] for ln in lines])
+    got = _load_features_csv(feats)
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+    # spellings only float() accepts, and a multi-character delimiter
+    feats.write_text("1_0;;2\n\u0663;;4\n")
+    assert np.array_equal(_load_features_csv(feats, ";;"), [[10.0, 2.0], [3.0, 4.0]])
 
 
 MANIFEST_ERRORS = {

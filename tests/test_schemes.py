@@ -1,11 +1,12 @@
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from growprune.data import make_blobs, make_moons, split
-from growprune.network import accuracy, connection_count, from_mlp
+from growprune.network import _segments, accuracy, connection_count, from_mlp, loss_and_gradients
 from growprune.numerics import make_rng
 from growprune.schemes import (
     HistoryWriter,
@@ -15,6 +16,9 @@ from growprune.schemes import (
     run_scheme,
     train_weights,
 )
+
+from conftest import random_dag
+from oracles import dense_adam_step, dense_sgd_momentum_step
 
 
 def blob_dataset(seed=0, n=150, std=0.6):
@@ -59,6 +63,44 @@ def test_masked_weights_stay_zero_through_training(kind):
         net, ds, OptimizerConfig(kind=kind, learning_rate=0.01, epochs_per_iteration=5), rng
     )
     assert np.array_equal(net.weights[0, 2:6], np.zeros(4))
+    net.validate()
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_rectangle_update_matches_dense_oracle(kind):
+    rng = make_rng(5)
+    net = random_dag(rng, n_in=4, n_hidden=14, n_out=3, density=0.5)
+    net.layers = np.array([0] * 4 + [1] * 5 + [2] * 4 + [3] * 5 + [4] * 3)
+    assert len(_segments(net)) == 4 and np.any(net.weights[4:9, 4:9])
+    x = rng.normal(size=(24, net.n_in))
+    y = rng.integers(0, net.n_out, size=24)
+    data = SimpleNamespace(train_xy=lambda: (x, y))
+    opt = OptimizerConfig(
+        kind=kind, learning_rate=0.05, weight_decay=1e-2, batch_size=5, epochs_per_iteration=3
+    )
+    ref = net.clone()
+    w0 = net.weights.copy()
+    train_weights(net, data, opt, make_rng(9))
+
+    order_rng, state = make_rng(9), {}
+    for _ in range(opt.epochs_per_iteration):
+        order = order_rng.permutation(len(y))
+        for s in range(0, len(y), opt.batch_size):
+            idx = order[s : s + opt.batch_size]
+            _, dw, dbias, _ = loss_and_gradients(ref, x[idx], y[idx], weight_decay=opt.weight_decay)
+            if kind == "sgd_momentum":
+                dense_sgd_momentum_step(
+                    ref.weights, ref.bias, state, dw, dbias, opt.learning_rate, opt.momentum
+                )
+            else:
+                dense_adam_step(ref.weights, ref.bias, state, dw, dbias, opt.learning_rate)
+    ref.weights *= ref.mask
+    assert np.array_equal(net.weights.view(np.int64), ref.weights.view(np.int64))
+    assert np.array_equal(net.bias.view(np.int64), ref.bias.view(np.int64))
+    outside = np.ones((net.n, net.n), dtype=bool)
+    outside[net.rect] = False
+    assert np.all(net.weights[outside] == 0.0)
+    assert np.array_equal(net.weights[outside].view(np.int64), w0[outside].view(np.int64))
     net.validate()
 
 
