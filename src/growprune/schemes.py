@@ -217,24 +217,24 @@ def train_weights(
                         vel_w += dw
                         vel_b *= opt.momentum
                         vel_b += dbias
-                        w -= np.multiply(lr, vel_w, out=tmp)
+                        w -= np.multiply(lr, vel_w, tmp)
                         net.bias -= lr * vel_b
                     else:
                         step += 1
                         m_w *= beta1
-                        m_w += np.multiply(1 - beta1, dw, out=tmp)
+                        m_w += np.multiply(1 - beta1, dw, tmp)
                         v_w *= beta2
-                        np.multiply(1 - beta2, dw, out=tmp)
-                        v_w += np.multiply(tmp, dw, out=tmp)
+                        np.multiply(1 - beta2, dw, tmp)
+                        v_w += np.multiply(tmp, dw, tmp)
                         m_b *= beta1
                         m_b += (1 - beta1) * dbias
                         v_b *= beta2
                         v_b += (1 - beta2) * dbias * dbias
                         bc1 = 1 - beta1**step
                         bc2 = 1 - beta2**step
-                        np.multiply(lr, np.divide(m_w, bc1, out=tmp), out=tmp)
-                        np.add(np.sqrt(np.divide(v_w, bc2, out=den), out=den), eps, out=den)
-                        w -= np.divide(tmp, den, out=tmp)
+                        np.multiply(lr, np.divide(m_w, bc1, tmp), tmp)
+                        np.add(np.sqrt(np.divide(v_w, bc2, den), den), eps, den)
+                        w -= np.divide(tmp, den, tmp)
                         net.bias -= lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + eps)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(net.bias))):
             raise TrainingDiverged("non-finite weights after update")
