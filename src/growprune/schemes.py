@@ -232,6 +232,8 @@ def train_weights(
                         v_b += (1 - beta2) * dbias * dbias
                         bc1 = 1 - beta1**step
                         bc2 = 1 - beta2**step
+                        # w -= lr * (m_w / bc1) / (sqrt(v_w / bc2) + eps), in
+                        # that order, through the scratch buffers
                         np.multiply(lr, np.divide(m_w, bc1, tmp), tmp)
                         np.add(np.sqrt(np.divide(v_w, bc2, den), den), eps, den)
                         w -= np.divide(tmp, den, tmp)
