@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Network, forward, loss_and_gradients, prune_isolated_neurons
+from .network import Network, forward, legal_pair_mask, loss_and_gradients, prune_isolated_neurons
 
 log = logging.getLogger(__name__)
 
@@ -91,34 +91,24 @@ class PrunePolicy:
             raise ValueError("budget must be >= 0")
 
 
-def legal_pair_mask(net: Network) -> np.ndarray:
-    """Boolean matrix of structurally legal connections: strictly earlier to
-    strictly later, never into an input, never out of an output."""
-    n = net.n
-    legal = np.triu(np.ones((n, n), dtype=bool), k=1)
-    legal[:, : net.n_in] = False
-    legal[net.hidden_end :, :] = False
+def _legal_pairs(net: Network, adjacent_only: bool) -> np.ndarray:
+    """Legal pairs, optionally only those from one layer to the next."""
+    legal = legal_pair_mask(net)
+    if adjacent_only:
+        if net.layers is None:
+            raise ValueError("adjacent_only growth needs a network with layer ids")
+        legal &= net.layers[None, :] == net.layers[:, None] + 1
     return legal
 
 
 def candidate_pair_mask(net: Network, adjacent_only: bool = False) -> np.ndarray:
     """Legal pairs that are currently inactive; optionally adjacent-layer only."""
-    cand = legal_pair_mask(net) & (net.mask == 0)
-    if adjacent_only:
-        if net.layers is None:
-            raise ValueError("adjacent_only growth needs a network with layer ids")
-        adj = net.layers[None, :] == net.layers[:, None] + 1
-        cand &= adj
-    return cand
+    return _legal_pairs(net, adjacent_only) & ~net.mask
 
 
 def possible_pair_count(net: Network, adjacent_only: bool = False) -> int:
     """All structurally possible connections under the same restriction."""
-    legal = legal_pair_mask(net)
-    if adjacent_only:
-        adj = net.layers[None, :] == net.layers[:, None] + 1
-        legal = legal & adj
-    return int(legal.sum())
+    return int(np.count_nonzero(_legal_pairs(net, adjacent_only)))
 
 
 def _gradient_scores(net: Network, batch: tuple) -> np.ndarray:
@@ -131,7 +121,7 @@ def _gradient_scores(net: Network, batch: tuple) -> np.ndarray:
 
 def _activate(net: Network, pairs: np.ndarray) -> None:
     if pairs.size:
-        net.mask[pairs[:, 0], pairs[:, 1]] = 1.0
+        net.mask[pairs[:, 0], pairs[:, 1]] = True
         # grown connections start at exactly zero weight
 
 
@@ -172,15 +162,14 @@ def grow_connections(
 
 def _active_incident(net: Network) -> np.ndarray:
     """Hidden neurons with at least one active incident connection."""
-    act = net.mask != 0
-    has = act.any(axis=0) | act.any(axis=1)
+    has = net.mask.any(axis=0) | net.mask.any(axis=1)
     return np.flatnonzero(has[net.n_in : net.hidden_end]) + net.n_in
 
 
 def _insert_neuron(net: Network, pos: int, layer: int | None) -> None:
     """Insert an unconnected hidden neuron so it takes global index pos."""
     n = net.n
-    net.mask = np.insert(np.insert(net.mask, pos, 0.0, axis=0), pos, 0.0, axis=1)
+    net.mask = np.insert(np.insert(net.mask, pos, False, axis=0), pos, False, axis=1)
     net.weights = np.insert(np.insert(net.weights, pos, 0.0, axis=0), pos, 0.0, axis=1)
     net.bias = np.insert(net.bias, pos - net.n_in, 0.0)
     if net.layers is not None:
@@ -213,7 +202,7 @@ def grow_neuron(
             parent = int(active[int(np.argmax(stat))])
         else:
             parent = int(rng.choice(active))
-        added = int((net.mask[:, parent] != 0).sum() + (net.mask[parent, :] != 0).sum())
+        added = int(net.mask[:, parent].sum() + net.mask[parent, :].sum())
         if max_new_connections is not None and added > max_new_connections:
             log.info(
                 "neuron division skipped: copying %d edges exceeds the %d-connection budget",
@@ -227,7 +216,7 @@ def grow_neuron(
         # copy wiring: in-edges from the parent's sources, out-edges to its targets
         net.mask[:, child] = net.mask[:, parent]
         net.mask[child, :] = net.mask[parent, :]
-        net.mask[parent, child] = 0.0
+        net.mask[parent, child] = False
         in_w = net.weights[:, parent].copy()
         out_w = net.weights[parent, :].copy()
         std = policy.noise_std
@@ -268,8 +257,8 @@ def grow_neuron(
                     break
         pick_in = np.sort(rng.choice(sources, size=min(k_in, sources.size), replace=False))
         pick_out = np.sort(rng.choice(targets, size=min(k_out, targets.size), replace=False))
-        net.mask[pick_in, child] = 1.0
-        net.mask[child, pick_out] = 1.0
+        net.mask[pick_in, child] = True
+        net.mask[child, pick_out] = True
         scale = np.sqrt(2.0 / max(1, pick_in.size))
         net.weights[pick_in, child] = rng.normal(0.0, scale, size=pick_in.size)
         net.weights[child, pick_out] = rng.normal(0.0, scale, size=pick_out.size)
@@ -307,7 +296,7 @@ def prune_connections(net: Network, policy: PrunePolicy) -> Network:
             ties = np.flatnonzero(mags == cut)
             keep[ties[: policy.budget - np.count_nonzero(keep)]] = True
         di, dj = ii[~keep], jj[~keep]
-    net.mask[di, dj] = 0.0
+    net.mask[di, dj] = False
     net.weights[di, dj] = 0.0
     prune_isolated_neurons(net)
     return net

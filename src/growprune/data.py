@@ -58,6 +58,10 @@ class Dataset:
 
     def validate(self) -> None:
         n = self.n_rows
+        for name in ("train", "val", "test"):
+            idx = np.asarray(self.splits[name])
+            if not np.issubdtype(idx.dtype, np.integer) or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+                raise DataError(f"{name} split: row indices must be integers in [0, {n})")
         allidx = np.concatenate([self.splits[k] for k in ("train", "val", "test")])
         if len(allidx) != n or len(np.unique(allidx)) != n:
             raise DataError("splits must be disjoint and cover every row")
@@ -211,8 +215,19 @@ def split(dataset: Dataset, fractions, rng: np.random.Generator) -> Dataset:
 def split_from_files(dataset: Dataset, train_file, val_file, test_file) -> Dataset:
     """Explicit newline-separated row-index files, honored verbatim."""
     def read(path):
-        with open(path) as f:
-            return np.array([int(ln) for ln in f if ln.strip()], dtype=np.int64)
+        try:
+            with open(path) as f:
+                lines = f.read().splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read split file {path}: {exc}") from exc
+        rows = []
+        for no, ln in enumerate(lines, 1):
+            if ln.strip():
+                try:
+                    rows.append(int(ln))
+                except ValueError:
+                    raise DataError(f"split file {path} line {no}: not a row index: {ln.strip()!r}") from None
+        return np.array(rows, dtype=np.int64)
 
     out = replace(
         dataset,

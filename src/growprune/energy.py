@@ -50,7 +50,7 @@ def count_ops(net: Network) -> OpCounts:
     neuron whose value is consumed downstream costs one ReLU comparison.
     """
     macs = int(np.count_nonzero(net.mask))
-    consumed = (net.mask != 0).any(axis=1)
+    consumed = net.mask.any(axis=1)
     comparisons = int(np.count_nonzero(consumed[net.n_in : net.hidden_end]))
     return OpCounts(macs=macs, sram_accesses=2 * macs, comparisons=comparisons)
 

@@ -2,7 +2,7 @@
 
 Neurons are globally ordered: inputs first, hidden next, outputs last. Any
 earlier neuron may feed any later one, so the wiring (a strictly
-upper-triangular binary mask) determines the depth of the network rather than
+upper-triangular bool mask) determines the depth of the network rather than
 a fixed layer structure. Pruned weights are exactly zero, which lets the
 forward pass ignore the mask entirely and work off the weight matrix alone.
 
@@ -49,12 +49,12 @@ def _relu_grad(u: np.ndarray) -> np.ndarray:
 class Network:
     """Masked-weight DAG over n_in + n_hidden + n_out ordered neurons.
 
-    mask[i, j] = 1 iff the connection i -> j is active. Invariants: the mask
-    is strictly upper triangular, nothing terminates at an input, nothing
-    originates at an output, and weights are exactly zero wherever the mask
-    is zero. Hidden neurons apply ReLU, outputs are linear (pre-softmax
-    logits). `layers` optionally records a layer id per neuron for networks
-    with MLP structure (used to restrict growth to adjacent layers).
+    mask[i, j] is True iff the connection i -> j is active. Invariants: the
+    mask is bool and holds only legal pairs (`legal_pair_mask`), and weights
+    are exactly zero wherever the mask is False. Hidden neurons apply ReLU,
+    outputs are linear (pre-softmax logits). `layers` optionally records a
+    layer id per neuron for networks with MLP structure (used to restrict
+    growth to adjacent layers).
     """
 
     def __init__(
@@ -73,7 +73,7 @@ class Network:
         self.n_in = n_in
         self.n_hidden = n_hidden
         self.n_out = n_out
-        self.mask = np.zeros((n, n)) if mask is None else np.asarray(mask, dtype=np.float64)
+        self.mask = np.zeros((n, n), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         self.weights = np.zeros((n, n)) if weights is None else np.asarray(weights, dtype=np.float64)
         self.bias = np.zeros(n_hidden + n_out) if bias is None else np.asarray(bias, dtype=np.float64)
         self.layers = None if layers is None else np.asarray(layers, dtype=np.int64)
@@ -111,16 +111,27 @@ class Network:
             raise ValueError("mask/weights shape does not match neuron count")
         if self.bias.shape != (self.n_hidden + self.n_out,):
             raise ValueError("bias length must be n_hidden + n_out")
-        if np.any(np.tril(self.mask) != 0):
-            raise ValueError("mask must be strictly upper triangular")
-        if np.any(self.mask[:, : self.n_in] != 0):
-            raise ValueError("connections must not terminate at input neurons")
-        if np.any(self.mask[self.hidden_end :, :] != 0):
-            raise ValueError("connections must not originate at output neurons")
-        if np.any((self.weights != 0) & (self.mask == 0)):
+        if self.mask.dtype != bool:
+            raise ValueError(f"mask must be bool, got {self.mask.dtype}")
+        if np.any(self.mask & ~legal_pair_mask(self)):
+            raise ValueError(
+                "illegal connection: edges run from an earlier to a later neuron, "
+                "never into an input and never out of an output"
+            )
+        if np.any((self.weights != 0) & ~self.mask):
             raise ValueError("nonzero weight on an inactive connection")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("non-finite weights or biases")
+
+
+def legal_pair_mask(net: Network) -> np.ndarray:
+    """Bool matrix of structurally legal connections: strictly earlier to
+    strictly later, never into an input, never out of an output."""
+    n = net.n
+    legal = np.triu(np.ones((n, n), dtype=bool), k=1)
+    legal[:, : net.n_in] = False
+    legal[net.hidden_end :, :] = False
+    return legal
 
 
 @dataclass
@@ -180,10 +191,13 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     return ForwardTrace(u=u, x=x)
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of the labels, and the softmax itself."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float((np.log(total[:, 0]) - z[np.arange(len(labels)), labels]).mean())
+    return loss, e / total
 
 
 def _check_labels(net: Network, labels: np.ndarray) -> np.ndarray:
@@ -200,12 +214,7 @@ def _check_labels(net: Network, labels: np.ndarray) -> np.ndarray:
 def loss_value(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay: float = 0.0) -> float:
     """Mean softmax cross-entropy plus the L2 weight-decay term."""
     labels = _check_labels(net, labels)
-    trace = forward(net, batch)
-    logits = trace.logits(net.n_out)
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    nll = lse - z[np.arange(len(labels)), labels]
-    loss = float(nll.mean())
+    loss, _ = _cross_entropy(forward(net, batch).logits(net.n_out), labels)
     if weight_decay:
         loss += 0.5 * weight_decay * _sq_norm(net.weights[net.rect])
     return loss
@@ -225,7 +234,7 @@ def loss_and_gradients(
 ):
     """Loss plus gradients: (loss, dW, dBias, dU).
 
-    dW is n x n and masked (exactly zero wherever the mask is zero) and
+    dW is n x n and masked (exactly zero wherever the mask is False) and
     includes the weight-decay term on active weights; only the legal
     rectangle `net.rect` is written, so a reused `_dw_buf` must be zero
     outside it. dU holds dLoss/du for every neuron and sample, which
@@ -239,15 +248,10 @@ def loss_and_gradients(
     w = net.weights
     rect = net.rect
 
-    logits = trace.logits(net.n_out)
-    p = _softmax(logits)
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    loss = float((lse - z[np.arange(b), labels]).mean())
+    loss, dlogits = _cross_entropy(trace.logits(net.n_out), labels)
     if weight_decay:
         loss += 0.5 * weight_decay * _sq_norm(w[rect])
 
-    dlogits = p.copy()
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
 
@@ -296,25 +300,27 @@ def accuracy(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predict(net, batch) == labels))
 
 
+def _longest_paths(net: Network) -> np.ndarray:
+    """Edge length of the longest active path from an input to each neuron,
+    -1 where no input reaches it."""
+    dist = np.full(net.n, -1, dtype=np.int64)
+    dist[: net.n_in] = 0
+    for j in range(net.n_in, net.n):
+        d = dist[:j][net.mask[:j, j]].max(initial=-1)
+        if d >= 0:
+            dist[j] = d + 1
+    return dist
+
+
 def depth(net: Network) -> int:
     """Edge length of the longest active input-to-output path.
 
     Raises UnreachableOutputError when no output is reachable from any input.
     """
-    n = net.n
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[: net.n_in] = 0
-    for j in range(net.n_in, n):
-        src = np.flatnonzero(net.mask[:j, j])
-        if src.size:
-            reached = dist[src]
-            reached = reached[reached >= 0]
-            if reached.size:
-                dist[j] = int(reached.max()) + 1
-    out = dist[net.hidden_end :]
-    if np.all(out < 0):
+    deepest = int(_longest_paths(net)[net.hidden_end :].max())
+    if deepest < 0:
         raise UnreachableOutputError("no active path from any input to any output")
-    return int(out.max())
+    return deepest
 
 
 def _path_flags(net: Network) -> np.ndarray:
@@ -323,19 +329,13 @@ def _path_flags(net: Network) -> np.ndarray:
     Inputs count as path members when they reach an output; outputs when they
     are reached from an input.
     """
-    n = net.n
-    active = net.mask != 0
-    fwd = np.zeros(n, dtype=bool)
-    fwd[: net.n_in] = True
-    for j in range(net.n_in, n):
-        if np.any(active[:j, j] & fwd[:j]):
-            fwd[j] = True
-    bwd = np.zeros(n, dtype=bool)
+    bwd = np.zeros(net.n, dtype=bool)
     bwd[net.hidden_end :] = True
-    for i in range(net.hidden_end - 1, -1, -1):
-        if np.any(active[i, i + 1 :] & bwd[i + 1 :]):
-            bwd[i] = True
-    return fwd & bwd
+    for i in range(net.hidden_end - 1, net.n_in - 1, -1):
+        bwd[i] = np.any(net.mask[i, i + 1 :] & bwd[i + 1 :])
+    # no input feeds an input, so the input rows need no order
+    bwd[: net.n_in] = (net.mask[: net.n_in] & bwd).any(axis=1)
+    return (_longest_paths(net) >= 0) & bwd
 
 
 def connection_count(net: Network) -> int:
@@ -369,41 +369,28 @@ def from_mlp(layer_sizes: list[int], rng: np.random.Generator) -> Network:
         r0, r1 = bounds[li], bounds[li + 1]
         c0, c1 = bounds[li + 1], bounds[li + 2]
         fan_in = sizes[li]
-        net.mask[r0:r1, c0:c1] = 1.0
+        net.mask[r0:r1, c0:c1] = True
         net.weights[r0:r1, c0:c1] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(r1 - r0, c1 - c0))
     return net
 
 
 def prune_isolated_neurons(net: Network) -> Network:
-    """Remove hidden neurons lacking active in-edges or out-edges, to a fixed point.
+    """Remove the hidden neurons on no active input-to-output path.
 
-    Removal deletes the neuron's remaining edges, which can isolate further
-    neurons; indices are compacted and the ordering of survivors preserved.
-    Input and output neurons are never removed.
+    These are the neurons that repeatedly dropping hidden neurons without an
+    active in-edge or out-edge would remove: every neuron on a path keeps a
+    neighbour on it at both ends, and following live in-neighbours (or
+    out-neighbours) from a survivor must end at an input (or an output).
+    Indices are compacted and the ordering of survivors preserved. Input and
+    output neurons are never removed.
     """
-    n = net.n
-    alive = np.ones(n, dtype=bool)
-    active = net.mask != 0
-    while True:
-        sub = active & alive[:, None] & alive[None, :]
-        in_deg = sub.sum(axis=0)
-        out_deg = sub.sum(axis=1)
-        hidden = np.zeros(n, dtype=bool)
-        hidden[net.n_in : net.hidden_end] = True
-        drop = hidden & alive & ((in_deg == 0) | (out_deg == 0))
-        if not np.any(drop):
-            break
-        alive[drop] = False
+    alive = _path_flags(net)
+    alive[: net.n_in] = True
+    alive[net.hidden_end :] = True
     keep = np.flatnonzero(alive)
-    dead_cols = ~alive
-    net.mask[dead_cols, :] = 0.0
-    net.mask[:, dead_cols] = 0.0
-    net.weights[dead_cols, :] = 0.0
-    net.weights[:, dead_cols] = 0.0
     net.mask = net.mask[np.ix_(keep, keep)]
     net.weights = net.weights[np.ix_(keep, keep)]
-    keep_bias = keep[keep >= net.n_in] - net.n_in
-    net.bias = net.bias[keep_bias]
+    net.bias = net.bias[keep[keep >= net.n_in] - net.n_in]
     if net.layers is not None:
         net.layers = net.layers[keep]
     net.n_hidden = int(alive[net.n_in : net.hidden_end].sum())
@@ -412,33 +399,24 @@ def prune_isolated_neurons(net: Network) -> Network:
 
 def _mask_to_rle(mask: np.ndarray) -> list[list[list[int]]]:
     """Per-row runs of active entries as [start, length] pairs."""
-    rows = []
-    for r in range(mask.shape[0]):
-        nz = np.flatnonzero(mask[r])
-        runs = []
-        if nz.size:
-            start = prev = int(nz[0])
-            for c in nz[1:]:
-                c = int(c)
-                if c == prev + 1:
-                    prev = c
-                else:
-                    runs.append([start, prev - start + 1])
-                    start = prev = c
-            runs.append([start, prev - start + 1])
-        rows.append(runs)
+    # each row changes value an even number of times, so the changes pair up
+    # into (start, end) within their rows
+    r, c = np.nonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    rows = [[] for _ in range(mask.shape[0])]
+    for i, start, end in zip(r[::2].tolist(), c[::2].tolist(), c[1::2].tolist()):
+        rows[i].append([start, end - start])
     return rows
 
 
 def _rle_to_mask(rows: list, n: int) -> np.ndarray:
     if len(rows) != n:
         raise ValueError(f"mask_rle has {len(rows)} rows for {n} neurons")
-    mask = np.zeros((n, n))
+    mask = np.zeros((n, n), dtype=bool)
     for r, runs in enumerate(rows):
         for start, length in runs:
             if not (0 <= start and 0 < length and start + length <= n):
                 raise ValueError(f"mask_rle row {r}: run [{start}, {length}] leaves [0, {n})")
-            mask[r, start : start + length] = 1.0
+            mask[r, start : start + length] = True
     return mask
 
 

@@ -259,7 +259,7 @@ def _initial_network(cfg: SchemeConfig, data, rng: np.random.Generator) -> Netwo
             ii, jj = np.nonzero(net.mask)
             k = int(round(cfg.init_prune_fraction * ii.size))
             pick = rng.choice(ii.size, size=k, replace=False)
-            net.mask[ii[pick], jj[pick]] = 0.0
+            net.mask[ii[pick], jj[pick]] = False
             net.weights[ii[pick], jj[pick]] = 0.0
         return net
     sizes = list(cfg.layer_sizes)

@@ -7,7 +7,7 @@ from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from growprune.network import Network
+from growprune.network import Network, legal_pair_mask
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -35,11 +35,7 @@ def random_dag(rng, n_in=None, n_hidden=None, n_out=None, density=0.4, weight_sc
     n_out = n_out or int(rng.integers(2, 4))
     net = Network(n_in, n_hidden, n_out)
     n = net.n
-    legal = np.triu(np.ones((n, n)), k=1)
-    legal[:, : n_in] = 0
-    legal[net.hidden_end :, :] = 0
-    coin = rng.random((n, n)) < density
-    net.mask = legal * coin
+    net.mask = legal_pair_mask(net) & (rng.random((n, n)) < density)
     net.weights = net.mask * rng.normal(0.0, weight_scale, size=(n, n))
     net.bias = rng.normal(0.0, 0.3, size=n_hidden + n_out)
     return net

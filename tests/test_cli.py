@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import growprune
 from growprune.cli import _load_features_csv, main
 from growprune.data import load_dataset
 from growprune.network import checkpoint_dict, from_mlp, load_checkpoint
@@ -96,6 +100,38 @@ def test_nonexistent_dataset_file_is_data_error(tmp_path):
 def test_bad_flags_are_usage_error():
     assert main(["synth", "--scheme", "Z"]) == 2
     assert main(["not-a-command"]) == 2
+
+
+def test_module_run_without_manifest_is_usage_error(tmp_path):
+    src = str(Path(growprune.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "growprune.cli", "prep"], cwd=tmp_path, env=env, capture_output=True
+    )
+    assert proc.returncode == 2, proc.stderr
+
+
+# four rows with labels a, b, a, b; the val file takes row 2, the test file none
+BAD_SPLIT_FILES = {
+    "negative_index": "0\n1\n-4\n",
+    "index_past_end": "0\n1\n4\n",
+    "not_an_integer": "0\n1\nthree\n",
+    "missing_file": None,
+}
+
+
+@pytest.mark.parametrize("train", BAD_SPLIT_FILES.values(), ids=BAD_SPLIT_FILES.keys())
+def test_bad_split_files_are_data_errors(tmp_path, train):
+    (tmp_path / "d.csv").write_text("1,2,a\n3,4,b\n5,6,a\n7,8,b\n")
+    if train is not None:
+        (tmp_path / "tr.txt").write_text(train)
+    (tmp_path / "va.txt").write_text("2\n")
+    (tmp_path / "te.txt").write_text("")
+    files = [str(tmp_path / f) for f in ("tr.txt", "va.txt", "te.txt")]
+    dataset = {"format": "csv", "path": str(tmp_path / "d.csv"), "split": {"files": files}}
+    m = write_manifest(tmp_path, {"dataset": dataset, "out": str(tmp_path / "o")})
+    assert main(["prep", "--manifest", m]) == 3
+    assert not (tmp_path / "o" / "dataset.npz").exists()
 
 
 def test_prep_baseline_flow(tmp_path):

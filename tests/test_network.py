@@ -395,10 +395,37 @@ def test_prune_isolated_chain_cascades():
 def test_prune_isolated_matches_fixed_point_oracle(rng):
     for _ in range(10):
         net = random_dag(rng, density=0.15)
-        alive = fixed_point_isolated(net.n_in, net.n_out, net.mask)
-        expect_hidden = sum(alive[net.n_in : net.hidden_end])
+        net.layers = np.arange(net.n)  # tags every neuron with its original id
+        before = net.clone()
+        keep = np.flatnonzero(fixed_point_isolated(net.n_in, net.n_out, net.mask))
+        kept_hidden = keep[(keep >= net.n_in) & (keep < net.hidden_end)]
         prune_isolated_neurons(net)
-        assert net.n_hidden == expect_hidden
+        assert np.array_equal(net.layers, keep)
+        assert net.n_hidden == kept_hidden.size
+        assert np.array_equal(net.mask, before.mask[np.ix_(keep, keep)])
+        assert np.array_equal(net.weights, before.weights[np.ix_(keep, keep)])
+        want_bias = np.concatenate([before.bias[kept_hidden - net.n_in], before.bias[before.n_hidden :]])
+        assert np.array_equal(net.bias, want_bias)
+        net.validate()
+
+
+def test_validate_rejects_a_float_mask(rng):
+    net = from_mlp([3, 4, 2], rng)
+    net.mask = net.mask.astype(np.float64)
+    with pytest.raises(ValueError, match="mask must be bool"):
+        net.validate()
+
+
+# from_mlp([3, 4, 2]): neurons 0-2 inputs, 3-6 hidden, 7-8 outputs
+ILLEGAL_PAIRS = {"backward": (4, 3), "self_loop": (5, 5), "into_input": (0, 1), "out_of_output": (7, 8)}
+
+
+@pytest.mark.parametrize("pair", ILLEGAL_PAIRS.values(), ids=ILLEGAL_PAIRS.keys())
+def test_validate_rejects_an_active_illegal_pair(rng, pair):
+    net = from_mlp([3, 4, 2], rng)
+    net.validate()
+    net.mask[pair] = True
+    with pytest.raises(ValueError, match="illegal connection"):
         net.validate()
 
 

@@ -16,23 +16,44 @@ from growprune.archops import (
     grow_neuron,
     prune_connections,
 )
-from growprune.network import forward, from_mlp, prune_isolated_neurons
+from growprune.network import (
+    UnreachableOutputError,
+    connection_count,
+    depth,
+    forward,
+    from_mlp,
+    prune_isolated_neurons,
+)
 from growprune.numerics import make_rng
 from growprune.schemes import OptimizerConfig, TrainingDiverged, train_weights
 from conftest import random_dag
-from oracles import fixed_point_isolated, lexsort_budget_keep, topk_by_magnitude
+from oracles import (
+    fixed_point_isolated,
+    lexsort_budget_keep,
+    longest_path_dp,
+    scan_connection_count,
+    topk_by_magnitude,
+)
 
 OPS = ("grow_full", "grow_random", "grow_gradient", "divide", "prune_budget", "prune_threshold", "train")
 
 
 def assert_structure(net):
-    """Strictly upper-triangular mask, nothing outside the legal rectangle,
-    weights zero off the mask."""
+    """Strictly upper-triangular bool mask, nothing outside the legal
+    rectangle, weights zero off the mask, and depth and connection count equal
+    to their brute-force oracles."""
     net.validate()
+    assert net.mask.dtype == bool
     outside = np.ones((net.n, net.n), dtype=bool)
     outside[net.rect] = False
     assert not np.any(np.tril(net.mask)) and not np.any(net.mask[outside])
-    assert not np.any(net.weights[net.mask == 0])
+    assert not np.any(net.weights[~net.mask])
+    try:
+        got = depth(net)
+    except UnreachableOutputError:
+        got = -1
+    assert got == longest_path_dp(net.n_in, net.n_out, net.mask)
+    assert connection_count(net) == scan_connection_count(net.n_in, net.n_out, net.mask)
 
 
 def assert_no_isolated_hidden(net):
@@ -42,7 +63,7 @@ def assert_no_isolated_hidden(net):
 
 
 def edges(mask):
-    return {(int(i), int(j)) for i, j in np.argwhere(mask != 0)}
+    return {(int(i), int(j)) for i, j in np.argwhere(mask)}
 
 
 def check_budget_prune(net, budget):
@@ -59,9 +80,9 @@ def check_budget_prune(net, budget):
     assert kept == want and len(kept) == budget
 
     n = net.n
-    sel = np.zeros((n, n))
+    sel = np.zeros((n, n), dtype=bool)
     for i, j in want:
-        sel[i, j] = 1.0
+        sel[i, j] = True
     alive = fixed_point_isolated(net.n_in, net.n_out, sel)
     keep = [v for v in range(n) if alive[v]]
     prune_connections(net, PrunePolicy(budget=budget))
@@ -111,10 +132,10 @@ def test_random_op_sequences_keep_the_invariants(seed, ops, layered):
                 check_budget_prune(net, int(rng.integers(0, active)))
                 assert_no_isolated_hidden(net)
         elif op == "prune_threshold":
-            mags = np.abs(net.weights[net.mask != 0])
+            mags = np.abs(net.weights[net.mask])
             t = float(np.quantile(mags, rng.uniform())) if mags.size else 0.5
             prune_connections(net, PrunePolicy(threshold=t))
-            assert np.all(np.abs(net.weights[net.mask != 0]) >= t)
+            assert np.all(np.abs(net.weights[net.mask]) >= t)
             assert_no_isolated_hidden(net)
         else:
             kind = ("sgd_momentum", "adam")[int(rng.integers(2))]
@@ -136,7 +157,7 @@ def test_budget_prune_with_many_ties_matches_lexsort_oracle(seed, levels):
     # a few magnitudes of either sign: most edges tie with the threshold
     shape = net.weights.shape
     values = rng.choice([0.25, 0.5, 1.0][:levels], size=shape) * rng.choice([-1.0, 1.0], size=shape)
-    net.weights = np.where(net.mask != 0, values, 0.0)
+    net.weights = np.where(net.mask, values, 0.0)
     active = int(np.count_nonzero(net.mask))
     check_budget_prune(net, int(rng.integers(0, active)))
     assert_structure(net)
