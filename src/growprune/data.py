@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import struct
+import zipfile
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,7 +59,17 @@ class Dataset:
         return self._xy("test")
 
     def validate(self) -> None:
+        if np.ndim(self.features) != 2:
+            raise DataError(f"features must be a 2-D matrix, got shape {np.shape(self.features)}")
         n = self.n_rows
+        labels = np.asarray(self.labels)
+        if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+            raise DataError(f"labels must be {n} integers, one per row")
+        if n and (labels.min() < 0 or labels.max() >= self.n_classes):
+            raise DataError(
+                f"labels must lie in [0, {self.n_classes}) for {self.n_classes} classes, "
+                f"found {labels.min()}..{labels.max()}"
+            )
         for name in ("train", "val", "test"):
             idx = np.asarray(self.splits[name])
             if not np.issubdtype(idx.dtype, np.integer) or (idx.size and (idx.min() < 0 or idx.max() >= n)):
@@ -256,20 +268,35 @@ def save_dataset(dataset: Dataset, path) -> None:
     )
 
 
+_NPZ_MEMBERS = ("features", "labels", "train", "val", "test", "meta")
+_META_KEYS = ("n_classes", "label_map", "provenance", "normalization")
+
+
 def load_dataset(path) -> Dataset:
+    """Read a dataset written by save_dataset; raises DataError unless the
+    file is an npz archive holding every member and meta key."""
     try:
         z = np.load(path)
-    except OSError as exc:
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise DataError(f"{path} is not an npz archive")
+        with z:
+            missing = [k for k in _NPZ_MEMBERS if k not in z.files]
+            if missing:
+                raise DataError(f"{path} lacks the npz members {missing}")
+            members = {k: z[k] for k in _NPZ_MEMBERS}
+        meta = json.loads(bytes(members.pop("meta")).decode())
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+        # a corrupt archive raises BadZipFile or zlib.error, not OSError
         raise DataError(f"cannot read {path}: {exc}") from exc
-    meta = json.loads(bytes(z["meta"]).decode())
+    if not isinstance(meta, dict) or any(k not in meta for k in _META_KEYS):
+        raise DataError(f"{path}: meta must hold the keys {list(_META_KEYS)}")
+    if type(meta["n_classes"]) is not int:
+        raise DataError(f"{path}: n_classes must be an integer, got {meta['n_classes']!r}")
     return Dataset(
-        features=z["features"],
-        labels=z["labels"],
-        splits={"train": z["train"], "val": z["val"], "test": z["test"]},
-        n_classes=meta["n_classes"],
-        label_map=meta["label_map"],
-        provenance=meta["provenance"],
-        normalization=meta["normalization"],
+        features=members["features"],
+        labels=members["labels"],
+        splits={k: members[k] for k in ("train", "val", "test")},
+        **{k: meta[k] for k in _META_KEYS},
     )
 
 

@@ -7,20 +7,25 @@ a fixed layer structure. Pruned weights are exactly zero, which lets the
 forward pass ignore the mask entirely and work off the weight matrix alone.
 
 Forward and backward passes visit the same partition of the non-input
-neurons into segments (`_segments`): hidden neurons are cut wherever the
-layer id changes and every SEGMENT neurons, and the outputs form the last
-segment, so no segment mixes hidden and output neurons. Each segment costs
-one GEMM for the contributions of all earlier neurons, plus a sequential walk
-over the columns whose weights have an in-segment in-edge. The partition
-depends only on neuron counts and layer ids and the walk only on nonzero
-weights, never on the mask, so activating a connection with weight zero
-cannot perturb any float result.
+neurons into segments (`_segments`). Hidden neurons are cut into runs
+wherever the layer id changes; a run with no nonzero weight between two of
+its own neurons is one segment, however wide, and any other run is cut every
+SEGMENT neurons. The outputs form the last segment, so no segment mixes
+hidden and output neurons. Each segment costs one GEMM for the contributions
+of all earlier neurons, plus a sequential walk over the columns whose weights
+have an in-segment in-edge. The partition depends only on neuron counts,
+layer ids and nonzero weights, and the walk only on nonzero weights, never on
+the mask, so activating a connection with weight zero cannot perturb any
+float result.
 
 No edge ends at an input or starts at an output, so only the legal
 rectangle `Network.rect` (rows [0, hidden_end) by columns [n_in, n)) of the
-mask and weights can be nonzero. The backward pass writes dW only inside it,
-and it leaves dU's input columns at zero: it never computes the gradient
-with respect to an input, which nothing consumes.
+mask and weights can be nonzero. The backward pass writes each segment's dW
+only in the rows between the first and the last sender the mask activates
+into the segment's columns, so a merged layer run never multiplies its own
+same-layer square unless a grown edge lies in it. It leaves dU's input
+columns at zero: it never computes the gradient with respect to an input,
+which nothing consumes.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ class UnreachableOutputError(Exception):
 
 def _relu(u: np.ndarray) -> np.ndarray:
     return np.maximum(u, 0.0)
-
-
-def _relu_grad(u: np.ndarray) -> np.ndarray:
-    return (u > 0.0).astype(np.float64)
 
 
 class Network:
@@ -149,15 +150,61 @@ class ForwardTrace:
         return self.x[:, self.x.shape[1] - n_out :]
 
 
-def _segments(net: Network) -> list[tuple[int, int]]:
-    """Neuron ranges [s, e) evaluated as units, in order; see the module doc."""
-    he = net.hidden_end
-    runs = [net.n_in]
+def _layer_runs(net: Network) -> list[tuple[int, int]]:
+    """Hidden neuron ranges [a, e) of one layer id each, in order; all hidden
+    neurons form one run when the network has no layer ids."""
+    cuts = [net.n_in]
     if net.layers is not None:
-        runs += (np.flatnonzero(np.diff(net.layers[net.n_in : he])) + net.n_in + 1).tolist()
-    runs.append(he)
-    segs = [(s, min(s + SEGMENT, e)) for a, e in zip(runs, runs[1:]) for s in range(a, e, SEGMENT)]
-    return segs + [(he, net.n)]
+        cuts += (np.flatnonzero(np.diff(net.layers[net.n_in : net.hidden_end])) + net.n_in + 1).tolist()
+    cuts.append(net.hidden_end)
+    return [(a, e) for a, e in zip(cuts, cuts[1:]) if a < e]
+
+
+_NO_WALK = np.empty(0, dtype=np.int64)
+
+
+def _segments(net: Network) -> list[tuple[int, int, np.ndarray]]:
+    """Neuron ranges [s, e) evaluated as units, in order, each with the
+    offsets in [0, e - s) of its walk columns; see the module doc."""
+    w = net.weights
+    segs = []
+    for a, e in _layer_runs(net):
+        if not w[a:e, a:e].any():
+            segs.append((a, e, _NO_WALK))
+            continue
+        for s in range(a, e, SEGMENT):
+            t = min(s + SEGMENT, e)
+            segs.append((s, t, np.flatnonzero(w[s:t, s:t].any(axis=0))))
+    # outputs send no edges, so the output segment never walks
+    return segs + [(net.hidden_end, net.n, _NO_WALK)]
+
+
+def _mask_rows(net: Network, s: int, e: int) -> tuple[int, int] | None:
+    """First and one past the last sender the mask activates into columns
+    [s, e), or None when the columns receive no active edge."""
+    rows = np.flatnonzero(net.mask[:e, s:e].any(axis=1))
+    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else None
+
+
+def live_blocks(net: Network) -> list[tuple[slice, slice]]:
+    """Blocks that hold every active connection: each hidden layer run's
+    columns, and the output columns, by the row range of the senders the
+    mask activates into them. Read from the mask and layer ids only."""
+    blocks = []
+    for s, e in _layer_runs(net) + [(net.hidden_end, net.n)]:
+        rows = _mask_rows(net, s, e)
+        if rows is not None:
+            blocks.append((slice(*rows), slice(s, e)))
+    return blocks
+
+
+def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2 or batch.shape[1] != net.n_in:
+        raise ValueError(
+            f"batch width mismatch: expected {net.n_in} inputs, got shape {batch.shape}"
+        )
+    return batch
 
 
 def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
@@ -167,25 +214,23 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     The computational path depends only on the nonzero pattern of the weight
     matrix, so growing zero-weight connections leaves every float untouched.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != net.n_in:
-        raise ValueError(
-            f"batch width mismatch: expected {net.n_in} inputs, got shape {batch.shape}"
-        )
+    return _forward(net, _check_batch(net, batch), _segments(net))
+
+
+def _forward(net: Network, batch: np.ndarray, segs: list) -> ForwardTrace:
     n, b = net.n, batch.shape[0]
     w = net.weights
     u = np.empty((b, n))
     x = np.empty((b, n))
     u[:, : net.n_in] = batch
     x[:, : net.n_in] = batch
-    for s, e in _segments(net):
+    for s, e, walk in segs:
         act = _relu if s < net.hidden_end else np.copy
         ub = net.bias[s - net.n_in : e - net.n_in] + x[:, :s] @ w[:s, s:e]
         x[:, s:e] = act(ub)
-        wb = w[s:e, s:e]
         # in-segment edges: finish those columns in order
-        for c in np.flatnonzero(wb.any(axis=0)):
-            ub[:, c] += x[:, s : s + c] @ wb[:c, c]
+        for c in walk:
+            ub[:, c] += x[:, s : s + c] @ w[s : s + c, s + c]
             x[:, s + c] = act(ub[:, c])
         u[:, s:e] = ub
     return ForwardTrace(u=u, x=x)
@@ -235,22 +280,26 @@ def loss_and_gradients(
     """Loss plus gradients: (loss, dW, dBias, dU).
 
     dW is n x n and masked (exactly zero wherever the mask is False) and
-    includes the weight-decay term on active weights; only the legal
-    rectangle `net.rect` is written, so a reused `_dw_buf` must be zero
-    outside it. dU holds dLoss/du for every neuron and sample, which
-    gradient-based connection growth consumes; its input columns are zero,
-    since no edge ends at an input.
+    includes the weight-decay term on active weights. It is written only in
+    one block per segment: the segment's columns by the row range of the
+    senders the mask activates into them (`_mask_rows`). Every active entry
+    lies in such a block and every other entry written there ends at zero, so
+    a reused `_dw_buf` must be zero outside the blocks, which holds wherever
+    it is zero off the mask, as after an earlier call under the same mask.
+    dU holds dLoss/du for every neuron and sample, which gradient-based
+    connection growth consumes; its input columns are zero, since no edge
+    ends at an input.
     """
     labels = _check_labels(net, labels)
-    trace = forward(net, batch)
+    segs = _segments(net)
+    trace = _forward(net, _check_batch(net, batch), segs)
     n, b = net.n, trace.x.shape[0]
     he = net.hidden_end
     w = net.weights
-    rect = net.rect
 
     loss, dlogits = _cross_entropy(trace.logits(net.n_out), labels)
     if weight_decay:
-        loss += 0.5 * weight_decay * _sq_norm(w[rect])
+        loss += 0.5 * weight_decay * _sq_norm(w[net.rect])
 
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
@@ -259,26 +308,26 @@ def loss_and_gradients(
     dx = np.zeros((b, n))
     du[:, he:] = dlogits
     dw = np.zeros((n, n)) if _dw_buf is None else _dw_buf
-    for s, e in reversed(_segments(net)):
+    for s, e, walk in reversed(segs):
         if s < he:
-            wb = w[s:e, s:e]
             # in-segment edges: finish those columns in reverse order
-            for c in np.flatnonzero(wb.any(axis=0))[::-1]:
+            for c in walk[::-1]:
                 j = s + c
-                du[:, j] = dx[:, j] * _relu_grad(trace.u[:, j])
-                dx[:, s:j] += du[:, j : j + 1] * wb[:c, c][None, :]
-            du[:, s:e] = dx[:, s:e] * _relu_grad(trace.u[:, s:e])
+                np.multiply(dx[:, j], trace.u[:, j] > 0.0, out=du[:, j])
+                dx[:, s:j] += du[:, j : j + 1] * w[s:j, j][None, :]
+            np.multiply(dx[:, s:e], trace.u[:, s:e] > 0.0, out=du[:, s:e])
         # nothing consumes the gradient of an input, so rows :n_in are skipped
         dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
-        # outputs send nothing; of rows s:e only the in-segment edges above
-        # the diagonal survive the mask below
-        r = min(e, he)
-        dw[:r, s:e] = trace.x[:, :r].T @ du[:, s:e]
+        rows = _mask_rows(net, s, e)
+        if rows is None:
+            continue
+        r0, r1 = rows
+        blk = dw[r0:r1, s:e]
+        np.matmul(trace.x[:, r0:r1].T, du[:, s:e], out=blk)
+        blk *= net.mask[r0:r1, s:e]
+        if weight_decay:
+            blk += weight_decay * w[r0:r1, s:e]
 
-    dw_rect = dw[rect]
-    dw_rect *= net.mask[rect]
-    if weight_decay:
-        dw_rect += weight_decay * w[rect]
     dbias = du[:, net.n_in :].sum(axis=0)
     return loss, dw, dbias, du
 

@@ -19,7 +19,16 @@ import numpy as np
 
 from . import archops
 from .archops import GrowthPolicy, NeuronGrowthPolicy, PrunePolicy
-from .network import Network, UnreachableOutputError, accuracy, connection_count, depth, from_mlp, loss_and_gradients
+from .network import (
+    Network,
+    UnreachableOutputError,
+    accuracy,
+    connection_count,
+    depth,
+    from_mlp,
+    live_blocks,
+    loss_and_gradients,
+)
 from .numerics import make_rng
 
 log = logging.getLogger(__name__)
@@ -173,26 +182,30 @@ def train_weights(
 ) -> Network:
     """Minibatch training for epochs_per_iteration epochs, gradients masked.
 
-    Weight decay applies to active weights only; biases decay-free. The
-    optimizer state and every update cover only the legal rectangle
-    `net.rect`; the weights outside it stay exactly zero. On loss divergence
-    the entry weights are restored and TrainingDiverged raised.
+    Weight decay applies to active weights only, folded into the update as
+    dW + weight_decay * W; biases decay-free. The optimizer state, its
+    scratch buffers and every update cover only the live blocks
+    (`network.live_blocks`), computed once per call, since the mask does
+    not change while training; the weights outside them stay exactly zero.
+    Divergence is a non-finite cross-entropy loss (the decay term is not
+    part of it) or a non-finite weight after the last step: the entry
+    weights are then restored and TrainingDiverged raised.
     """
     x_train, y_train = data.train_xy()
-    rect = net.rect
-    w = net.weights[rect]  # a view: updating it updates net.weights
-    snap_w, snap_b = w.copy(), net.bias.copy()
+    blocks = live_blocks(net)
+    ws = [net.weights[blk] for blk in blocks]  # views: updating them updates net.weights
+    snap_w, snap_b = [w.copy() for w in ws], net.bias.copy()
     lr = opt.learning_rate * lr_scale
     dw_buf = np.zeros((net.n, net.n))
-    dw = dw_buf[rect]
-    tmp = np.empty_like(w)
+    dws = [dw_buf[blk] for blk in blocks]
+    tmps = [np.empty_like(w) for w in ws]
     if opt.kind == "sgd_momentum":
-        vel_w = np.zeros_like(w)
+        vel_w = [np.zeros_like(w) for w in ws]
         vel_b = np.zeros_like(net.bias)
     else:
-        m_w = np.zeros_like(w)
-        v_w = np.zeros_like(w)
-        den = np.empty_like(w)
+        m_w = [np.zeros_like(w) for w in ws]
+        v_w = [np.zeros_like(w) for w in ws]
+        dens = [np.empty_like(w) for w in ws]
         m_b = np.zeros_like(net.bias)
         v_b = np.zeros_like(net.bias)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -203,50 +216,51 @@ def train_weights(
         with np.errstate(over="ignore", invalid="ignore"):
             for _epoch in range(opt.epochs_per_iteration):
                 for idx in _minibatches(len(y_train), opt.batch_size, rng):
-                    loss, _, dbias, _ = loss_and_gradients(
-                        net,
-                        x_train[idx],
-                        y_train[idx],
-                        weight_decay=opt.weight_decay,
-                        _dw_buf=dw_buf,
-                    )
+                    loss, _, dbias, _ = loss_and_gradients(net, x_train[idx], y_train[idx], _dw_buf=dw_buf)
                     if not math.isfinite(loss):
                         raise TrainingDiverged(f"loss became {loss}")
+                    if opt.weight_decay:
+                        for w, dw, tmp in zip(ws, dws, tmps):
+                            dw += np.multiply(opt.weight_decay, w, tmp)
                     if opt.kind == "sgd_momentum":
-                        vel_w *= opt.momentum
-                        vel_w += dw
+                        for w, dw, tmp, vel in zip(ws, dws, tmps, vel_w):
+                            vel *= opt.momentum
+                            vel += dw
+                            w -= np.multiply(lr, vel, tmp)
                         vel_b *= opt.momentum
                         vel_b += dbias
-                        w -= np.multiply(lr, vel_w, tmp)
                         net.bias -= lr * vel_b
                     else:
                         step += 1
-                        m_w *= beta1
-                        m_w += np.multiply(1 - beta1, dw, tmp)
-                        v_w *= beta2
-                        np.multiply(1 - beta2, dw, tmp)
-                        v_w += np.multiply(tmp, dw, tmp)
+                        bc1 = 1 - beta1**step
+                        bc2 = 1 - beta2**step
+                        for w, dw, tmp, m, v, den in zip(ws, dws, tmps, m_w, v_w, dens):
+                            m *= beta1
+                            m += np.multiply(1 - beta1, dw, tmp)
+                            v *= beta2
+                            np.multiply(1 - beta2, dw, tmp)
+                            v += np.multiply(tmp, dw, tmp)
+                            # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in
+                            # that order, through the scratch buffers
+                            np.multiply(lr, np.divide(m, bc1, tmp), tmp)
+                            np.add(np.sqrt(np.divide(v, bc2, den), den), eps, den)
+                            w -= np.divide(tmp, den, tmp)
                         m_b *= beta1
                         m_b += (1 - beta1) * dbias
                         v_b *= beta2
                         v_b += (1 - beta2) * dbias * dbias
-                        bc1 = 1 - beta1**step
-                        bc2 = 1 - beta2**step
-                        # w -= lr * (m_w / bc1) / (sqrt(v_w / bc2) + eps), in
-                        # that order, through the scratch buffers
-                        np.multiply(lr, np.divide(m_w, bc1, tmp), tmp)
-                        np.add(np.sqrt(np.divide(v_w, bc2, den), den), eps, den)
-                        w -= np.divide(tmp, den, tmp)
                         net.bias -= lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + eps)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(net.bias))):
+        if not (all(np.all(np.isfinite(w)) for w in ws) and np.all(np.isfinite(net.bias))):
             raise TrainingDiverged("non-finite weights after update")
     except TrainingDiverged:
-        w[...] = snap_w
+        for w, snap in zip(ws, snap_w):
+            w[...] = snap
         net.bias[:] = snap_b
         raise
     # masked gradients keep pruned weights at exactly zero, but the adam
     # denominator path must not have perturbed them either
-    w *= net.mask[rect]
+    for w, blk in zip(ws, blocks):
+        w *= net.mask[blk]
     return net
 
 

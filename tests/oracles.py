@@ -94,26 +94,29 @@ def topk_by_magnitude(entries, k):
     return {(i, j) for i, j, _ in ranked[:k]}
 
 
-def dense_sgd_momentum_step(weights, bias, state, dw, dbias, lr, momentum):
+def dense_sgd_momentum_step(weights, bias, state, dw, dbias, lr, momentum, weight_decay):
     """One SGD-momentum step with n x n velocity, updating every entry in place.
 
+    The weight decay is folded into the step: the velocity takes
+    dw + weight_decay * weights, the gradient of the decayed loss, where dw
+    is the gradient without decay. Biases do not decay.
     state: dict that carries the velocities between steps (empty at first).
     """
     vel_w = state.setdefault("vel_w", np.zeros_like(weights))
     vel_b = state.setdefault("vel_b", np.zeros_like(bias))
     vel_w *= momentum
-    vel_w += dw
+    vel_w += dw + weight_decay * weights
     vel_b *= momentum
     vel_b += dbias
     weights -= lr * vel_w
     bias -= lr * vel_b
 
 
-def dense_adam_step(weights, bias, state, dw, dbias, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def dense_adam_step(weights, bias, state, dw, dbias, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
     """One bias-corrected Adam step with n x n moments, in place; see
-    dense_sgd_momentum_step for `state`."""
+    dense_sgd_momentum_step for `weight_decay` and `state`."""
     state["step"] = state.get("step", 0) + 1
-    for key, p, g in (("w", weights, dw), ("b", bias, dbias)):
+    for key, p, g in (("w", weights, dw + weight_decay * weights), ("b", bias, dbias)):
         m = state.setdefault("m_" + key, np.zeros_like(p))
         v = state.setdefault("v_" + key, np.zeros_like(p))
         m *= beta1

@@ -134,6 +134,67 @@ def test_bad_split_files_are_data_errors(tmp_path, train):
     assert not (tmp_path / "o" / "dataset.npz").exists()
 
 
+def small_npz_members():
+    features = np.arange(12, dtype=np.float64).reshape(6, 2)
+    meta = {"n_classes": 2, "label_map": {"a": 0, "b": 1}, "provenance": {}, "normalization": None}
+    return {
+        "features": features,
+        "labels": np.array([0, 1, 0, 1, 0, 1]),
+        "train": np.array([0, 1, 2, 3]),
+        "val": np.array([4]),
+        "test": np.array([5]),
+        "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+    }
+
+
+def drop(key):
+    return lambda d: d.pop(key)
+
+
+def write_corrupt_npz(path):
+    np.savez(path, **small_npz_members())
+    raw = path.read_bytes()
+    path.write_bytes(raw[: len(raw) // 2])
+
+
+BAD_NPZ = {
+    "no_meta": drop("meta"),
+    "no_labels": drop("labels"),
+    "no_test_split": drop("test"),
+    "meta_not_json": lambda d: d.__setitem__("meta", np.frombuffer(b"{oops", dtype=np.uint8)),
+    "meta_without_n_classes": lambda d: d.__setitem__(
+        "meta", np.frombuffer(json.dumps({"label_map": {}}).encode(), dtype=np.uint8)
+    ),
+    "label_past_n_classes": lambda d: d["labels"].__setitem__(5, 7),
+    "negative_label": lambda d: d["labels"].__setitem__(5, -1),
+    "float_labels": lambda d: d.__setitem__("labels", d["labels"] + 0.5),
+    "features_not_2d": lambda d: d.__setitem__("features", np.arange(6.0)),
+}
+
+
+@pytest.mark.parametrize("tamper", [*BAD_NPZ.values(), None], ids=[*BAD_NPZ.keys(), "truncated_archive"])
+def test_bad_npz_dataset_is_data_error(tmp_path, tamper, capsys):
+    path = tmp_path / "d.npz"
+    if tamper is None:
+        write_corrupt_npz(path)
+    else:
+        members = small_npz_members()
+        tamper(members)
+        np.savez(path, **members)
+    m = write_manifest(tmp_path, {"out": str(tmp_path / "o")})
+    assert main(["prep", "--manifest", m, "--data", str(path)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o" / "dataset.npz").exists()
+
+
+def test_small_npz_dataset_preps(tmp_path):
+    path = tmp_path / "d.npz"
+    np.savez(path, **small_npz_members())
+    m = write_manifest(tmp_path, {"out": str(tmp_path / "o")})
+    assert main(["prep", "--manifest", m, "--data", str(path)]) == 0
+    assert (tmp_path / "o" / "dataset.npz").exists()
+
+
 def test_prep_baseline_flow(tmp_path):
     out = tmp_path / "prep"
     manifest = {"dataset": toy_manifest(out)["dataset"], "out": str(out)}

@@ -200,6 +200,15 @@ def test_dataset_roundtrip_via_npz(tmp_path):
     assert back.n_classes == ds.n_classes
 
 
+def test_validate_names_the_label_range():
+    rng = make_rng(12)
+    ds = split(make_moons(40, 0.1, rng), (0.7, 0.15), rng)
+    ds.validate()
+    ds.labels[ds.splits["val"][0]] = 2
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 2\) for 2 classes, found 0\.\.2"):
+        ds.validate()
+
+
 def test_moons_and_clusters_are_learnable_shapes():
     rng = make_rng(1)
     moons = make_moons(100, 0.05, rng)

@@ -79,39 +79,96 @@ def layered_dag(rng, widths, n_in=3, n_out=2, density=0.3):
     return net
 
 
+def bounds(net):
+    return [(s, e) for s, e, _ in _segments(net)]
+
+
+def assert_close_to_oracle(got, want):
+    # float64 rounding error grows with the magnitude of the sums
+    assert np.allclose(got, want, atol=1e-12 * max(1.0, np.abs(want).max()), rtol=0)
+
+
 def test_segments_follow_layers_and_keep_outputs_apart(rng):
     net = from_mlp([5, 130, 20, 3], rng)
-    assert _segments(net) == [(5, 133), (133, 135), (135, 155), (155, 158)]
-    # without layer ids only the width cap and the output split cut
+    # no weight between two neurons of a run: one segment per run, however wide
+    assert bounds(net) == [(5, 135), (135, 155), (155, 158)]
+    assert all(walk.size == 0 for _, _, walk in _segments(net))
+    # an active zero-weight edge inside the run changes nothing
+    net.mask[5, 6] = True
+    assert bounds(net) == [(5, 135), (135, 155), (155, 158)]
+    # one nonzero in-run weight cuts that run every SEGMENT neurons
+    net.weights[5, 6] = 0.5
+    assert bounds(net) == [(5, 133), (133, 135), (135, 155), (155, 158)]
+    assert [walk.tolist() for _, _, walk in _segments(net)] == [[1], [], [], []]
+    # without layer ids all hidden neurons form one run, and the layer-1 to
+    # layer-2 weights lie inside it
+    net.weights[5, 6] = 0.0
     net.layers = None
-    assert _segments(net) == [(5, 133), (133, 155), (155, 158)]
-    assert _segments(Network(4, 0, 2)) == [(4, 6)]
+    assert bounds(net) == [(5, 133), (133, 155), (155, 158)]
+    assert bounds(Network(4, 0, 2)) == [(4, 6)]
     # a hidden layer id that comes back after another one starts a new segment
     net = layered_dag(rng, [2, 3])
     net.layers[net.n_in + 4] = 1
-    assert _segments(net) == [(3, 5), (5, 7), (7, 8), (8, 10)]
+    assert bounds(net) == [(3, 5), (5, 7), (7, 8), (8, 10)]
 
 
 def test_forward_multi_segment_network_matches_oracle(rng):
     # three layer ids, one layer wider than SEGMENT, edges inside every segment
     while True:
         net = layered_dag(rng, [SEGMENT + 9, 5, 12])
-        segs = _segments(net)
+        segs = bounds(net)
         if all(np.any(net.weights[s:e, s:e]) for s, e in segs[:-1]):
             break
     assert len(segs) == 5
     x = rng.normal(size=(3, net.n_in))
     got = forward(net, x).x
     for row, sample in zip(got, x):
-        want = naive_forward(net.n_in, net.n_out, net.mask, net.weights, net.bias, sample)
-        assert np.allclose(row, want, atol=1e-12, rtol=0)
+        assert_close_to_oracle(row, naive_forward(net.n_in, net.n_out, net.mask, net.weights, net.bias, sample))
+
+
+def test_growing_in_run_edges_into_a_merged_run_keeps_logits_bitwise(rng):
+    net = from_mlp([6, 300, 3], rng)
+    x = rng.normal(size=(7, 6))
+    assert bounds(net) == [(6, 306), (306, 309)]
+    base = forward(net, x).logits(3).copy()
+    pairs = rng.integers(6, 306, size=(200, 2))
+    net.mask[pairs.min(axis=1), pairs.max(axis=1)] = True
+    np.fill_diagonal(net.mask, False)
+    net.validate()
+    assert bounds(net) == [(6, 306), (306, 309)]
+    assert np.array_equal(forward(net, x).logits(3).view(np.int64), base.view(np.int64))
+
+
+def test_gradients_match_fd_on_merged_run_with_a_zero_weight_edge(rng):
+    # one hidden layer wider than SEGMENT, merged into one segment because no
+    # weight joins two of its neurons; then one such edge is grown at zero
+    while True:
+        net = from_mlp([3, SEGMENT + 20, 2], rng)
+        x = rng.normal(size=(3, 3))
+        trace = forward(net, x)
+        if np.abs(trace.u[:, 3 : net.hidden_end]).min() > 1e-3:
+            break
+    y = rng.integers(0, 2, size=3)
+    _, _, _, du = loss_and_gradients(net, x, y)
+    hidden = np.arange(3, net.hidden_end)
+    live = hidden[np.any(trace.x[:, hidden] != 0, axis=0) & np.any(du[:, hidden] != 0, axis=0)]
+    i, j = int(live[0]), int(live[-1])
+    net.mask[i, j] = True
+    assert bounds(net) == [(3, net.hidden_end), (net.hidden_end, net.n)]
+    _, dw, _, du = loss_and_gradients(net, x, y)
+    # du already carries the 1/batch of the mean loss
+    assert dw[i, j] != 0.0
+    assert np.isclose(dw[i, j], np.sum(trace.x[:, i] * du[:, j]), rtol=1e-12, atol=0)
+    ii, jj = np.nonzero(net.mask)
+    pick = rng.choice(ii.size, size=40, replace=False)
+    assert_gradients_match_fd(net, x, y, edges=[(i, j), *zip(ii[pick], jj[pick])])
 
 
 def free_intra_segment_pairs(net):
     """Inactive (i, j) pairs with i and j hidden and in the same segment."""
     return [
         (int(i) + s, int(j) + s)
-        for s, e in _segments(net)[:-1]
+        for s, e, _ in _segments(net)[:-1]
         for i, j in np.argwhere(np.triu(net.mask[s:e, s:e] == 0, 1))
     ]
 
@@ -143,7 +200,7 @@ def test_gradients_match_fd_on_wide_segment(rng):
         if np.abs(uh).min() > 1e-3:
             break
     y = rng.integers(0, net.n_out, size=3)
-    s, e = _segments(net)[0]
+    s, e, _ = _segments(net)[0]
     assert e - s == SEGMENT
     zero = free_intra_segment_pairs(net)[0]
     assert s <= zero[0] < zero[1] < e
@@ -169,8 +226,7 @@ def test_forward_matches_oracle_on_random_layer_ids(seed, n_hidden, n_layers, so
         net.layers = np.sort(ids) if sort_layers else ids
     sample = rng.normal(size=net.n_in)
     got = forward(net, sample[None, :]).x[0]
-    want = naive_forward(net.n_in, net.n_out, net.mask, net.weights, net.bias, sample)
-    assert np.allclose(got, want, atol=1e-12, rtol=0)
+    assert_close_to_oracle(got, naive_forward(net.n_in, net.n_out, net.mask, net.weights, net.bias, sample))
 
 
 def test_forward_order_invariant_under_hidden_permutation(rng):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from growprune.data import make_blobs, make_moons, split
-from growprune.network import _segments, accuracy, connection_count, from_mlp, loss_and_gradients
+from growprune.network import (
+    SEGMENT,
+    _segments,
+    accuracy,
+    connection_count,
+    from_mlp,
+    live_blocks,
+    loss_and_gradients,
+)
 from growprune.numerics import make_rng
 from growprune.schemes import (
     HistoryWriter,
@@ -66,12 +74,26 @@ def test_masked_weights_stay_zero_through_training(kind):
     net.validate()
 
 
-@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-def test_rectangle_update_matches_dense_oracle(kind):
+def layered_random_dag():
     rng = make_rng(5)
     net = random_dag(rng, n_in=4, n_hidden=14, n_out=3, density=0.5)
     net.layers = np.array([0] * 4 + [1] * 5 + [2] * 4 + [3] * 5 + [4] * 3)
     assert len(_segments(net)) == 4 and np.any(net.weights[4:9, 4:9])
+    return net
+
+
+def wide_mlp_with_a_zero_weight_edge():
+    # the hidden run is one segment until training gives the grown in-run
+    # edge a nonzero weight, then it is cut at SEGMENT: the dW blocks change
+    # between steps while the optimizer's live blocks stay
+    net = from_mlp([4, SEGMENT + 20, 3], make_rng(5))
+    net.mask[4, 10] = net.mask[20, SEGMENT + 10] = True
+    assert len(_segments(net)) == 2
+    return net
+
+
+def assert_training_matches_dense_oracle(net, kind):
+    rng = make_rng(6)
     x = rng.normal(size=(24, net.n_in))
     y = rng.integers(0, net.n_out, size=24)
     data = SimpleNamespace(train_xy=lambda: (x, y))
@@ -87,20 +109,69 @@ def test_rectangle_update_matches_dense_oracle(kind):
         order = order_rng.permutation(len(y))
         for s in range(0, len(y), opt.batch_size):
             idx = order[s : s + opt.batch_size]
-            _, dw, dbias, _ = loss_and_gradients(ref, x[idx], y[idx], weight_decay=opt.weight_decay)
+            _, dw, dbias, _ = loss_and_gradients(ref, x[idx], y[idx])
             if kind == "sgd_momentum":
                 dense_sgd_momentum_step(
-                    ref.weights, ref.bias, state, dw, dbias, opt.learning_rate, opt.momentum
+                    ref.weights, ref.bias, state, dw, dbias, opt.learning_rate, opt.momentum, opt.weight_decay
                 )
             else:
-                dense_adam_step(ref.weights, ref.bias, state, dw, dbias, opt.learning_rate)
+                dense_adam_step(ref.weights, ref.bias, state, dw, dbias, opt.learning_rate, opt.weight_decay)
     ref.weights *= ref.mask
     assert np.array_equal(net.weights.view(np.int64), ref.weights.view(np.int64))
     assert np.array_equal(net.bias.view(np.int64), ref.bias.view(np.int64))
     outside = np.ones((net.n, net.n), dtype=bool)
-    outside[net.rect] = False
+    for blk in live_blocks(net):
+        outside[blk] = False
     assert np.all(net.weights[outside] == 0.0)
     assert np.array_equal(net.weights[outside].view(np.int64), w0[outside].view(np.int64))
+    net.validate()
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_rectangle_update_matches_dense_oracle(kind):
+    assert_training_matches_dense_oracle(layered_random_dag(), kind)
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_update_matches_dense_oracle_while_the_partition_changes(kind):
+    assert_training_matches_dense_oracle(wide_mlp_with_a_zero_weight_edge(), kind)
+
+
+def test_live_blocks_cover_the_mask_tightly(rng):
+    net = from_mlp([3, 4, 5, 2], rng)
+    assert live_blocks(net) == [
+        (slice(0, 3), slice(3, 7)),
+        (slice(3, 7), slice(7, 12)),
+        (slice(7, 12), slice(12, 14)),
+    ]
+    # a skip edge widens the receiving block's rows; a run with no active
+    # in-edge has no block
+    net.mask[1, 12] = True
+    net.mask[:, 7:12] = False
+    net.weights[:, 7:12] = 0.0
+    assert live_blocks(net) == [(slice(0, 3), slice(3, 7)), (slice(1, 12), slice(12, 14))]
+    net.layers = None
+    assert live_blocks(net) == [(slice(0, 3), slice(3, 12)), (slice(1, 12), slice(12, 14))]
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_training_leaves_everything_outside_the_live_blocks_zero(kind):
+    ds = blob_dataset()
+    rng = make_rng(4)
+    net = from_mlp([3, 6, 5, 3], rng)
+    grown = [(0, 12), (3, 5), (10, 12)]  # a skip edge and two in-layer edges
+    for pair in grown:
+        net.mask[pair] = True
+    blocks = live_blocks(net)
+    outside = np.ones((net.n, net.n), dtype=bool)
+    for blk in blocks:
+        outside[blk] = False
+    assert not np.any(net.mask[outside])
+    w0 = net.weights.copy()
+    train_weights(net, ds, OptimizerConfig(kind=kind, epochs_per_iteration=3), rng)
+    assert np.array_equal(net.weights[outside], np.zeros(int(outside.sum())))
+    assert all(net.weights[pair] != 0.0 for pair in grown)
+    assert not np.array_equal(net.weights, w0)
     net.validate()
 
 
