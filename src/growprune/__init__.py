@@ -13,7 +13,7 @@ from .archops import (
 )
 from .data import CsvSchema, DataError, Dataset, load_csv, load_dataset, load_idx, save_dataset, split
 from .dimreduce import Reducer, fit_reducer, normalize, shrink_architecture, transform
-from .energy import EnergyCostModel, OpCounts, count_ops, estimate_energy, network_energy
+from .energy import EnergyCostModel, OpCounts, count_ops, estimate_energy
 from .network import (
     ForwardTrace,
     Network,

@@ -272,9 +272,41 @@ _NPZ_MEMBERS = ("features", "labels", "train", "val", "test", "meta")
 _META_KEYS = ("n_classes", "label_map", "provenance", "normalization")
 
 
+def _numbers(values, count: int) -> bool:
+    """True for a list of `count` finite JSON numbers."""
+    return (
+        isinstance(values, list)
+        and len(values) == count
+        and all(type(v) in (int, float) for v in values)
+        and bool(np.all(np.isfinite(values)))
+    )
+
+
+def _check_meta(path, meta: dict, features: np.ndarray) -> None:
+    n_classes = meta["n_classes"]
+    if type(n_classes) is not int:
+        raise DataError(f"{path}: n_classes must be an integer, got {n_classes!r}")
+    label_map = meta["label_map"]
+    if not (
+        isinstance(label_map, dict)
+        and all(type(v) is int for v in label_map.values())
+        and sorted(label_map.values()) == list(range(n_classes))
+    ):
+        raise DataError(f"{path}: label_map must map label strings one-to-one onto 0..{n_classes - 1}")
+    if not isinstance(meta["provenance"], dict):
+        raise DataError(f"{path}: provenance must be a dict, got {type(meta['provenance']).__name__}")
+    norm = meta["normalization"]
+    if norm is not None:
+        # a features member that is not 2-D fails Dataset.validate
+        width = features.shape[-1] if features.ndim else 0
+        if not (isinstance(norm, dict) and all(_numbers(norm.get(k), width) for k in ("min", "scale"))):
+            raise DataError(f"{path}: normalization must be null or hold {width} finite min and scale values each")
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset written by save_dataset; raises DataError unless the
-    file is an npz archive holding every member and meta key."""
+    file is an npz archive holding every member and meta key, and the meta
+    values have the types and sizes save_dataset writes."""
     try:
         z = np.load(path)
         if not isinstance(z, np.lib.npyio.NpzFile):
@@ -290,8 +322,7 @@ def load_dataset(path) -> Dataset:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not isinstance(meta, dict) or any(k not in meta for k in _META_KEYS):
         raise DataError(f"{path}: meta must hold the keys {list(_META_KEYS)}")
-    if type(meta["n_classes"]) is not int:
-        raise DataError(f"{path}: n_classes must be an integer, got {meta['n_classes']!r}")
+    _check_meta(path, meta, members["features"])
     return Dataset(
         features=members["features"],
         labels=members["labels"],

@@ -67,7 +67,3 @@ def estimate_energy(counts: OpCounts, model: EnergyCostModel = DEFAULT_COST_MODE
         + counts.sram_accesses * model.e_sram
         + counts.comparisons * model.e_cmp
     )
-
-
-def network_energy(net: Network, model: EnergyCostModel = DEFAULT_COST_MODEL) -> float:
-    return estimate_energy(count_ops(net), model)

@@ -12,11 +12,15 @@ wherever the layer id changes; a run with no nonzero weight between two of
 its own neurons is one segment, however wide, and any other run is cut every
 SEGMENT neurons. The outputs form the last segment, so no segment mixes
 hidden and output neurons. Each segment costs one GEMM for the contributions
-of all earlier neurons, plus a sequential walk over the columns whose weights
-have an in-segment in-edge. The partition depends only on neuron counts,
-layer ids and nonzero weights, and the walk only on nonzero weights, never on
-the mask, so activating a connection with weight zero cannot perturb any
-float result.
+of all earlier neurons. Edges between two neurons of one segment are finished
+by a sequential walk. The forward pass walks the segment's walk columns (the
+neurons that receive such an edge) in order, one gemv each. The backward pass
+walks the segment's pull set (walk columns plus the neurons that send such an
+edge) in reverse: each sender pulls its dx from the du of every later
+neuron of the segment with one gemv, then each walk column sets its du from
+its ReLU gate (`loss_and_gradients` states what this needs). The partition, the walk columns and the pull set depend only on
+neuron counts, layer ids and nonzero weights, never on the mask, so
+activating a connection with weight zero cannot perturb any float result.
 
 No edge ends at an input or starts at an output, so only the legal
 rectangle `Network.rect` (rows [0, hidden_end) by columns [n_in, n)) of the
@@ -163,20 +167,27 @@ def _layer_runs(net: Network) -> list[tuple[int, int]]:
 _NO_WALK = np.empty(0, dtype=np.int64)
 
 
-def _segments(net: Network) -> list[tuple[int, int, np.ndarray]]:
+def _segments(net: Network) -> list[tuple[int, int, np.ndarray, list]]:
     """Neuron ranges [s, e) evaluated as units, in order, each with the
-    offsets in [0, e - s) of its walk columns; see the module doc."""
+    offsets in [0, e - s) of its walk columns and its pull set; see the
+    module doc. The pull set lists, by descending offset c, every in-segment
+    neuron with an in-segment edge as (c, sends, receives): whether it sends
+    one and whether it receives one (is a walk column)."""
     w = net.weights
     segs = []
     for a, e in _layer_runs(net):
         if not w[a:e, a:e].any():
-            segs.append((a, e, _NO_WALK))
+            segs.append((a, e, _NO_WALK, []))
             continue
         for s in range(a, e, SEGMENT):
             t = min(s + SEGMENT, e)
-            segs.append((s, t, np.flatnonzero(w[s:t, s:t].any(axis=0))))
+            blk = w[s:t, s:t] != 0
+            recv, send = blk.any(axis=0), blk.any(axis=1)
+            c = np.flatnonzero(recv | send)[::-1]
+            pull = list(zip(c.tolist(), send[c].tolist(), recv[c].tolist()))
+            segs.append((s, t, np.flatnonzero(recv), pull))
     # outputs send no edges, so the output segment never walks
-    return segs + [(net.hidden_end, net.n, _NO_WALK)]
+    return segs + [(net.hidden_end, net.n, _NO_WALK, [])]
 
 
 def _mask_rows(net: Network, s: int, e: int) -> tuple[int, int] | None:
@@ -224,7 +235,7 @@ def _forward(net: Network, batch: np.ndarray, segs: list) -> ForwardTrace:
     x = np.empty((b, n))
     u[:, : net.n_in] = batch
     x[:, : net.n_in] = batch
-    for s, e, walk in segs:
+    for s, e, walk, _ in segs:
         act = _relu if s < net.hidden_end else np.copy
         ub = net.bias[s - net.n_in : e - net.n_in] + x[:, :s] @ w[:s, s:e]
         x[:, s:e] = act(ub)
@@ -289,6 +300,16 @@ def loss_and_gradients(
     dU holds dLoss/du for every neuron and sample, which gradient-based
     connection growth consumes; its input columns are zero, since no edge
     ends at an input.
+
+    Segments are visited in reverse. In a segment with in-segment edges, the
+    pull set is walked by descending neuron: a sender j first gathers
+    dx[:, j] += dU[:, j+1:e] @ W[j, j+1:e] (one gemv), then a walk column sets
+    dU[:, j] from dx[:, j] and its ReLU gate. This needs dU to be final in
+    every later walk column of the segment, which the reverse order gives, and
+    zero in every later column that is not a walk column; those columns are
+    only set after the walk, and their weights from the segment are zero. A
+    dense dW block (mask all True) skips the mask multiply, which would change
+    no float.
     """
     labels = _check_labels(net, labels)
     segs = _segments(net)
@@ -308,13 +329,16 @@ def loss_and_gradients(
     dx = np.zeros((b, n))
     du[:, he:] = dlogits
     dw = np.zeros((n, n)) if _dw_buf is None else _dw_buf
-    for s, e, walk in reversed(segs):
+    for s, e, _, pull in reversed(segs):
         if s < he:
-            # in-segment edges: finish those columns in reverse order
-            for c in walk[::-1]:
+            # in-segment edges: pull each sender's dx from the later columns
+            # it feeds, and finish each receiver's du, in reverse order
+            for c, sends, receives in pull:
                 j = s + c
-                np.multiply(dx[:, j], trace.u[:, j] > 0.0, out=du[:, j])
-                dx[:, s:j] += du[:, j : j + 1] * w[s:j, j][None, :]
+                if sends:
+                    dx[:, j] += du[:, j + 1 : e] @ w[j, j + 1 : e]
+                if receives:
+                    np.multiply(dx[:, j], trace.u[:, j] > 0.0, out=du[:, j])
             np.multiply(dx[:, s:e], trace.u[:, s:e] > 0.0, out=du[:, s:e])
         # nothing consumes the gradient of an input, so rows :n_in are skipped
         dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
@@ -324,7 +348,10 @@ def loss_and_gradients(
         r0, r1 = rows
         blk = dw[r0:r1, s:e]
         np.matmul(trace.x[:, r0:r1].T, du[:, s:e], out=blk)
-        blk *= net.mask[r0:r1, s:e]
+        # multiplying by True changes no float, so a dense block skips it
+        live = net.mask[r0:r1, s:e]
+        if not live.all():
+            blk *= live
         if weight_decay:
             blk += weight_decay * w[r0:r1, s:e]
 

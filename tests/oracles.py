@@ -22,6 +22,39 @@ def naive_forward(n_in, n_out, mask, weights, bias, sample):
     return x
 
 
+def naive_backward(n_in, n_out, mask, weights, bias, samples, labels, weight_decay=0.0):
+    """dU, dW and dbias of the mean softmax cross-entropy (plus the L2 decay
+    on active weights), by backpropagating each sample on its own in reverse
+    topological order over the mask. dU holds no input columns' gradient."""
+    n = mask.shape[0]
+    hidden_end = n - n_out
+    batch = len(samples)
+    du = np.zeros((batch, n))
+    dw = np.zeros((n, n))
+    dbias = np.zeros(n - n_in)
+    for b, (sample, label) in enumerate(zip(samples, labels)):
+        x = naive_forward(n_in, n_out, mask, weights, bias, sample)
+        logits = x[hidden_end:]
+        e = np.exp(logits - logits.max())
+        for k in range(n_out):
+            du[b, hidden_end + k] = (e[k] / e.sum() - (k == label)) / batch
+        for j in range(hidden_end - 1, n_in - 1, -1):
+            if x[j] > 0.0:  # relu passes the gradient where u > 0
+                for k in range(j + 1, n):
+                    if mask[j, k]:
+                        du[b, j] += weights[j, k] * du[b, k]
+        for j in range(n_in, n):
+            dbias[j - n_in] += du[b, j]
+            for i in range(j):
+                if mask[i, j]:
+                    dw[i, j] += x[i] * du[b, j]
+    for i in range(n):
+        for j in range(n):
+            if mask[i, j]:
+                dw[i, j] += weight_decay * weights[i, j]
+    return du, dw, dbias
+
+
 def fd_gradient(loss_fn, get, setv, eps=1e-5):
     """Central finite difference of loss_fn w.r.t. one scalar parameter."""
     orig = get()

@@ -29,7 +29,7 @@ from growprune.archops import (
 from growprune.cli import main
 from growprune.data import load_csv, load_idx, make_blobs, make_embedded_clusters, split, CsvSchema
 from growprune.dimreduce import fit_reducer, transform
-from growprune.energy import EnergyCostModel, OpCounts, count_ops, estimate_energy, network_energy
+from growprune.energy import EnergyCostModel, OpCounts, count_ops, estimate_energy
 from growprune.network import (
     Network,
     accuracy,
@@ -279,7 +279,7 @@ def test_criterion_06_energy_model_exactness():
     # 380.9K-connection MLP prices near the reported 3.1e-5 J
     h = 380900 // (178 + 2)
     big = from_mlp([178, h, 2], rng)
-    e = network_energy(big)
+    e = estimate_energy(count_ops(big))
     rel = abs(e - 3.1e-5) / 3.1e-5
     ok = ok and rel < 0.20
     _report(6, "energy model matches the closed form and reported scale", ok, f"large-MLP rel err {rel:.1%}")

@@ -151,6 +151,15 @@ def drop(key):
     return lambda d: d.pop(key)
 
 
+def set_meta(**changes):
+    def tamper(d):
+        meta = json.loads(bytes(d["meta"]).decode())
+        meta.update(changes)
+        d["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+    return tamper
+
+
 def write_corrupt_npz(path):
     np.savez(path, **small_npz_members())
     raw = path.read_bytes()
@@ -169,6 +178,13 @@ BAD_NPZ = {
     "negative_label": lambda d: d["labels"].__setitem__(5, -1),
     "float_labels": lambda d: d.__setitem__("labels", d["labels"] + 0.5),
     "features_not_2d": lambda d: d.__setitem__("features", np.arange(6.0)),
+    "label_map_list": set_meta(label_map=["a", "b"]),
+    "label_map_str_values": set_meta(label_map={"a": "0", "b": "1"}),
+    "label_map_not_onto_classes": set_meta(label_map={"a": 0, "b": 2}),
+    "provenance_str": set_meta(provenance="csv"),
+    "normalization_list": set_meta(normalization=[0.0, 1.0]),
+    "normalization_short": set_meta(normalization={"min": [0.0], "scale": [1.0]}),
+    "normalization_not_finite": set_meta(normalization={"min": [0.0, float("nan")], "scale": [1.0, 1.0]}),
 }
 
 
@@ -190,6 +206,16 @@ def test_bad_npz_dataset_is_data_error(tmp_path, tamper, capsys):
 def test_small_npz_dataset_preps(tmp_path):
     path = tmp_path / "d.npz"
     np.savez(path, **small_npz_members())
+    m = write_manifest(tmp_path, {"out": str(tmp_path / "o")})
+    assert main(["prep", "--manifest", m, "--data", str(path)]) == 0
+    assert (tmp_path / "o" / "dataset.npz").exists()
+
+
+def test_npz_with_normalization_preps(tmp_path):
+    path = tmp_path / "d.npz"
+    members = small_npz_members()
+    set_meta(normalization={"min": [0.0, 1], "scale": [0.5, 2.0]})(members)
+    np.savez(path, **members)
     m = write_manifest(tmp_path, {"out": str(tmp_path / "o")})
     assert main(["prep", "--manifest", m, "--data", str(path)]) == 0
     assert (tmp_path / "o" / "dataset.npz").exists()

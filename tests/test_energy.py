@@ -10,7 +10,6 @@ from growprune.energy import (
     count_ops,
     count_reducer_ops,
     estimate_energy,
-    network_energy,
 )
 from growprune.network import Network, from_mlp
 from growprune.numerics import make_rng
@@ -55,7 +54,7 @@ def test_energy_closed_form_for_layered_nets(rng):
     for d, h, c in ((7, 5, 3), (30, 12, 4), (178, 50, 2)):
         net = from_mlp([d, h, c], rng)
         assert math.isclose(
-            network_energy(net), closed_form_mlp_energy(d, h, c), rel_tol=1e-12
+            estimate_energy(count_ops(net)), closed_form_mlp_energy(d, h, c), rel_tol=1e-12
         )
 
 
@@ -63,7 +62,7 @@ def test_seizure_scale_mlp_prices_near_reported_value(rng):
     # 178-feature, 2-class MLP with ~380.9K connections
     h = 380900 // (178 + 2)
     net = from_mlp([178, h, 2], rng)
-    e = network_energy(net)
+    e = estimate_energy(count_ops(net))
     assert abs(e - 3.1e-5) / 3.1e-5 < 0.20
 
 
@@ -76,9 +75,9 @@ def test_energy_monotone_in_counts():
 
 def test_pruning_strictly_decreases_energy(rng):
     net = from_mlp([6, 8, 3], rng)
-    before = network_energy(net)
+    before = estimate_energy(count_ops(net))
     prune_connections(net, PrunePolicy(budget=int(net.mask.sum()) - 5))
-    assert network_energy(net) < before
+    assert estimate_energy(count_ops(net)) < before
 
 
 def test_reducer_projection_cost():

@@ -29,6 +29,7 @@ from oracles import (
     fd_gradient,
     fixed_point_isolated,
     longest_path_dp,
+    naive_backward,
     naive_forward,
     scan_connection_count,
 )
@@ -80,7 +81,7 @@ def layered_dag(rng, widths, n_in=3, n_out=2, density=0.3):
 
 
 def bounds(net):
-    return [(s, e) for s, e, _ in _segments(net)]
+    return [(s, e) for s, e, *_ in _segments(net)]
 
 
 def assert_close_to_oracle(got, want):
@@ -92,14 +93,14 @@ def test_segments_follow_layers_and_keep_outputs_apart(rng):
     net = from_mlp([5, 130, 20, 3], rng)
     # no weight between two neurons of a run: one segment per run, however wide
     assert bounds(net) == [(5, 135), (135, 155), (155, 158)]
-    assert all(walk.size == 0 for _, _, walk in _segments(net))
+    assert all(walk.size == 0 for _, _, walk, _ in _segments(net))
     # an active zero-weight edge inside the run changes nothing
     net.mask[5, 6] = True
     assert bounds(net) == [(5, 135), (135, 155), (155, 158)]
     # one nonzero in-run weight cuts that run every SEGMENT neurons
     net.weights[5, 6] = 0.5
     assert bounds(net) == [(5, 133), (133, 135), (135, 155), (155, 158)]
-    assert [walk.tolist() for _, _, walk in _segments(net)] == [[1], [], [], []]
+    assert [walk.tolist() for _, _, walk, _ in _segments(net)] == [[1], [], [], []]
     # without layer ids all hidden neurons form one run, and the layer-1 to
     # layer-2 weights lie inside it
     net.weights[5, 6] = 0.0
@@ -168,7 +169,7 @@ def free_intra_segment_pairs(net):
     """Inactive (i, j) pairs with i and j hidden and in the same segment."""
     return [
         (int(i) + s, int(j) + s)
-        for s, e, _ in _segments(net)[:-1]
+        for s, e, *_ in _segments(net)[:-1]
         for i, j in np.argwhere(np.triu(net.mask[s:e, s:e] == 0, 1))
     ]
 
@@ -200,7 +201,7 @@ def test_gradients_match_fd_on_wide_segment(rng):
         if np.abs(uh).min() > 1e-3:
             break
     y = rng.integers(0, net.n_out, size=3)
-    s, e, _ = _segments(net)[0]
+    s, e, *_ = _segments(net)[0]
     assert e - s == SEGMENT
     zero = free_intra_segment_pairs(net)[0]
     assert s <= zero[0] < zero[1] < e
@@ -227,6 +228,30 @@ def test_forward_matches_oracle_on_random_layer_ids(seed, n_hidden, n_layers, so
     sample = rng.normal(size=net.n_in)
     got = forward(net, sample[None, :]).x[0]
     assert_close_to_oracle(got, naive_forward(net.n_in, net.n_out, net.mask, net.weights, net.bias, sample))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    widths=st.lists(st.integers(1, 12), max_size=3),
+    wide=st.integers(0, 20),
+    density=st.floats(0.01, 0.3),
+    weight_decay=st.sampled_from([0.0, 1e-3]),
+)
+@settings(max_examples=25)
+def test_gradients_match_backprop_oracle_on_dag_runs(seed, widths, wide, density, weight_decay):
+    # `wide` adds a run wider than SEGMENT; in every segment with an edge
+    # between two of its neurons, the first such neuron only sends and the
+    # last only receives
+    rng = make_rng(seed)
+    widths = widths + [SEGMENT + wide] if wide else widths
+    net = layered_dag(rng, widths, density=density)
+    net.weights *= 1.0 / np.sqrt(max(1.0, density * net.n))
+    x = rng.normal(size=(3, net.n_in))
+    y = rng.integers(0, net.n_out, size=3)
+    _, dw, dbias, du = loss_and_gradients(net, x, y, weight_decay=weight_decay)
+    want = naive_backward(net.n_in, net.n_out, net.mask, net.weights, net.bias, x, y, weight_decay)
+    for got, oracle in zip((du, dw, dbias), want):
+        assert_close_to_oracle(got, oracle)
 
 
 def test_forward_order_invariant_under_hidden_permutation(rng):
