@@ -24,12 +24,17 @@ activating a connection with weight zero cannot perturb any float result.
 
 No edge ends at an input or starts at an output, so only the legal
 rectangle `Network.rect` (rows [0, hidden_end) by columns [n_in, n)) of the
-mask and weights can be nonzero. The backward pass writes each segment's dW
-only in the rows between the first and the last sender the mask activates
-into the segment's columns, so a merged layer run never multiplies its own
-same-layer square unless a grown edge lies in it. It leaves dU's input
-columns at zero: it never computes the gradient with respect to an input,
-which nothing consumes.
+mask and weights can be nonzero. Every active connection lies in one of the
+`live_blocks`: a hidden layer run's columns (or the output columns) by the
+row range of the senders the mask activates into them. The backward pass
+writes each segment's dW only in the rows between the first and the last
+sender the mask activates into the segment's columns, a sub-block of the
+live block that holds those columns, so a merged layer run never multiplies
+its own same-layer square unless a grown edge lies in it. Training keeps one
+contiguous dW buffer per live block and the backward pass writes straight
+into it; the public call writes into a fresh n x n dW instead. It leaves
+dU's input columns at zero: it never computes the gradient with respect to
+an input, which nothing consumes.
 """
 
 from __future__ import annotations
@@ -286,20 +291,25 @@ def loss_and_gradients(
     batch: np.ndarray,
     labels: np.ndarray,
     weight_decay: float = 0.0,
-    _dw_buf: np.ndarray | None = None,
+    _dw_blocks: list[tuple[tuple[slice, slice], np.ndarray]] | None = None,
 ):
     """Loss plus gradients: (loss, dW, dBias, dU).
 
     dW is n x n and masked (exactly zero wherever the mask is False) and
-    includes the weight-decay term on active weights. It is written only in
-    one block per segment: the segment's columns by the row range of the
-    senders the mask activates into them (`_mask_rows`). Every active entry
-    lies in such a block and every other entry written there ends at zero, so
-    a reused `_dw_buf` must be zero outside the blocks, which holds wherever
-    it is zero off the mask, as after an earlier call under the same mask.
-    dU holds dLoss/du for every neuron and sample, which gradient-based
-    connection growth consumes; its input columns are zero, since no edge
-    ends at an input.
+    includes the weight-decay term on active weights. dU holds dLoss/du for
+    every neuron and sample, which gradient-based connection growth consumes;
+    its input columns are zero, since no edge ends at an input.
+
+    `_dw_blocks` is for training, which keeps dW in one contiguous buffer
+    per live block: (block, buffer) pairs, one per block of `live_blocks`,
+    each buffer of its block's shape. Each segment writes its dW block, its
+    columns by the row range of the senders the mask activates into them
+    (`_mask_rows`), into the buffer of the live block that holds those
+    columns; that range lies inside the block's rows. This is the only write
+    to a buffer, and it leaves zero wherever the mask is False, so each
+    buffer must be zero outside its segments' blocks, which holds wherever
+    it is zero off the mask: when freshly zeroed, or after an earlier call
+    under the same mask. dW is then returned as None.
 
     Segments are visited in reverse. In a segment with in-segment edges, the
     pull set is walked by descending neuron: a sender j first gathers
@@ -311,6 +321,17 @@ def loss_and_gradients(
     dense dW block (mask all True) skips the mask multiply, which would change
     no float.
     """
+    return _loss_and_gradients(net, batch, labels, weight_decay, _dw_blocks)[:4]
+
+
+def _loss_and_gradients(
+    net: Network,
+    batch: np.ndarray,
+    labels: np.ndarray,
+    weight_decay: float = 0.0,
+    dw_blocks: list[tuple[tuple[slice, slice], np.ndarray]] | None = None,
+):
+    """`loss_and_gradients`, plus the forward trace it ran as a fifth item."""
     labels = _check_labels(net, labels)
     segs = _segments(net)
     trace = _forward(net, _check_batch(net, batch), segs)
@@ -328,7 +349,11 @@ def loss_and_gradients(
     du = np.zeros((b, n))
     dx = np.zeros((b, n))
     du[:, he:] = dlogits
-    dw = np.zeros((n, n)) if _dw_buf is None else _dw_buf
+    dw = None
+    if dw_blocks is None:
+        # the whole n x n dW is one block at the origin
+        dw = np.zeros((n, n))
+        dw_blocks = [((slice(0, n), slice(0, n)), dw)]
     for s, e, _, pull in reversed(segs):
         if s < he:
             # in-segment edges: pull each sender's dx from the later columns
@@ -346,7 +371,8 @@ def loss_and_gradients(
         if rows is None:
             continue
         r0, r1 = rows
-        blk = dw[r0:r1, s:e]
+        (br, bc), buf = next(d for d in dw_blocks if d[0][1].start <= s < d[0][1].stop)
+        blk = buf[r0 - br.start : r1 - br.start, s - bc.start : e - bc.start]
         np.matmul(trace.x[:, r0:r1].T, du[:, s:e], out=blk)
         # multiplying by True changes no float, so a dense block skips it
         live = net.mask[r0:r1, s:e]
@@ -356,7 +382,7 @@ def loss_and_gradients(
             blk += weight_decay * w[r0:r1, s:e]
 
     dbias = du[:, net.n_in :].sum(axis=0)
-    return loss, dw, dbias, du
+    return loss, dw, dbias, du, trace
 
 
 def predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarray:

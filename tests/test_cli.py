@@ -479,6 +479,19 @@ MANIFEST_ERRORS = {
     "baseline_zero_seeds": ("baseline", lambda m: m.update(seeds=0), []),
     "scheme_layer_sizes_mismatch": ("synth", lambda m: m["scheme"].update(layer_sizes=[10, 16, 4]), []),
     "scheme_layer_sizes_classes": ("synth", lambda m: m["scheme"].update(layer_sizes=[12, 16, 3]), []),
+    "optimizer_fractional_batch": ("synth", lambda m: m["scheme"]["optimizer"].update(batch_size=64.5), []),
+    "optimizer_fractional_epochs": ("synth", lambda m: m["scheme"]["optimizer"].update(epochs_per_iteration=2.5), []),
+    "optimizer_nan_lr": ("synth", lambda m: m["scheme"]["optimizer"].update(learning_rate=float("nan")), []),
+    "optimizer_inf_lr": ("synth", lambda m: m["scheme"]["optimizer"].update(learning_rate=float("inf")), []),
+    "optimizer_negative_decay": ("synth", lambda m: m["scheme"]["optimizer"].update(weight_decay=-1.0), []),
+    "optimizer_nan_decay": ("synth", lambda m: m["scheme"]["optimizer"].update(weight_decay=float("nan")), []),
+    "pipeline_fractional_batch": ("sweep", lambda m: m["pipeline"]["scheme_optimizer"].update(batch_size=64.5), []),
+    "scheme_fractional_iterations": ("synth", lambda m: m["scheme"].update(max_iterations=2.5), []),
+    "scheme_negative_budget": ("synth", lambda m: m["scheme"].update(final_connections=-5), []),
+    "scheme_negative_neurons": ("synth", lambda m: m["scheme"].update(max_neurons=-1), []),
+    "scheme_prune_fraction_over_1": ("synth", lambda m: m["scheme"].update(init_prune_fraction=1.5), []),
+    "scheme_prune_fraction_nan": ("synth", lambda m: m["scheme"].update(init_prune_fraction=float("nan")), []),
+    "scheme_negative_noise": ("synth", lambda m: m["scheme"].update(noise_std=-1), []),
 }
 
 

@@ -17,10 +17,12 @@ from growprune.network import (
 )
 from growprune.numerics import make_rng
 from growprune.schemes import (
+    SPARSE_FILL,
     HistoryWriter,
     OptimizerConfig,
     SchemeConfig,
     TrainingDiverged,
+    _LiveUnit,
     run_scheme,
     train_weights,
 )
@@ -135,6 +137,56 @@ def test_rectangle_update_matches_dense_oracle(kind):
 @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
 def test_update_matches_dense_oracle_while_the_partition_changes(kind):
     assert_training_matches_dense_oracle(wide_mlp_with_a_zero_weight_edge(), kind)
+
+
+def mlp_with_a_sparse_and_a_dense_block():
+    # the input-to-hidden block keeps a quarter of its entries and trains as
+    # a vector of them; the hidden-to-output block stays dense and trains in
+    # place
+    net = from_mlp([6, 10, 3], make_rng(7))
+    drop = make_rng(8).random((6, 10)) >= 0.25
+    drop[0, 0] = drop[5, 9] = False  # keep the block's corners live
+    net.mask[:6, 6:16][drop] = False
+    net.weights[:6, 6:16][drop] = 0.0
+    fills = [net.mask[blk].mean() for blk in live_blocks(net)]
+    assert fills[0] < SPARSE_FILL <= fills[1] == 1.0
+    assert [_LiveUnit(net, blk).take is None for blk in live_blocks(net)] == [False, True]
+    return net
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_sparse_and_dense_blocks_match_dense_oracle(kind):
+    assert_training_matches_dense_oracle(mlp_with_a_sparse_and_a_dense_block(), kind)
+
+
+def test_divergence_mid_epoch_restores_an_indexed_block():
+    net = mlp_with_a_sparse_and_a_dense_block()
+    rng = make_rng(3)
+    x = rng.normal(size=(40, 6))
+    y = rng.integers(0, 3, size=40)
+    data = SimpleNamespace(train_xy=lambda: (x, y))
+    w0, b0 = net.weights.copy(), net.bias.copy()
+    opt = OptimizerConfig(learning_rate=1e12, batch_size=4, epochs_per_iteration=5)
+    with pytest.raises(TrainingDiverged, match="loss became"):
+        train_weights(net, data, opt, make_rng(4))
+    assert np.array_equal(net.weights.view(np.int64), w0.view(np.int64))
+    assert np.array_equal(net.bias.view(np.int64), b0.view(np.int64))
+
+
+def test_adam_leaves_inactive_entries_of_a_sparse_block_exactly_zero():
+    net = mlp_with_a_sparse_and_a_dense_block()
+    rng = make_rng(5)
+    x = rng.normal(size=(40, 6))
+    y = rng.integers(0, 3, size=40)
+    data = SimpleNamespace(train_xy=lambda: (x, y))
+    w0 = net.weights.copy()
+    opt = OptimizerConfig(kind="adam", learning_rate=0.05, batch_size=8, epochs_per_iteration=4)
+    train_weights(net, data, opt, make_rng(6))
+    sparse = live_blocks(net)[0]
+    inactive = net.weights[sparse][~net.mask[sparse]]
+    assert inactive.size and np.all(inactive.view(np.int64) == 0)
+    assert np.all(net.weights[sparse][net.mask[sparse]] != w0[sparse][net.mask[sparse]])
+    net.validate()
 
 
 def test_live_blocks_cover_the_mask_tightly(rng):
@@ -504,3 +556,42 @@ def test_config_validation():
         OptimizerConfig(momentum=1.5)
     with pytest.raises(ValueError):
         OptimizerConfig(kind="sgd")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("weight_decay", -1.0),
+        ("weight_decay", float("nan")),
+        ("batch_size", 64.5),
+        ("batch_size", True),
+        ("epochs_per_iteration", 2.5),
+    ],
+)
+def test_optimizer_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iterations", 2.5),
+        ("final_connections", -5),
+        ("max_neurons", -1),
+        ("init_prune_fraction", 1.5),
+        ("init_prune_fraction", float("nan")),
+        ("noise_std", -1),
+        ("noise_std", float("nan")),
+    ],
+)
+def test_scheme_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SchemeConfig(**{"scheme": "C", "layer_sizes": [2, 3, 2], "final_connections": 4, field: value})
+
+
+def test_scheme_config_accepts_numpy_integers():
+    cfg = SchemeConfig(scheme="C", layer_sizes=[2, 3, 2], final_connections=np.int64(4), max_iterations=np.int64(2))
+    assert cfg.final_connections == 4
