@@ -38,7 +38,10 @@ def normalize(dataset: Dataset) -> Dataset:
 def apply_normalization(params: dict, features: np.ndarray) -> np.ndarray:
     lo = np.asarray(params["min"], dtype=np.float64)
     scale = np.asarray(params["scale"], dtype=np.float64)
-    return (features - lo) * scale
+    # one new array, scaled in place; the caller's features stay untouched
+    out = np.subtract(features, lo)
+    out *= scale
+    return out
 
 
 @dataclass

@@ -52,10 +52,6 @@ class UnreachableOutputError(Exception):
     """No active path connects any input to any output."""
 
 
-def _relu(u: np.ndarray) -> np.ndarray:
-    return np.maximum(u, 0.0)
-
-
 class Network:
     """Masked-weight DAG over n_in + n_hidden + n_out ordered neurons.
 
@@ -241,13 +237,16 @@ def _forward(net: Network, batch: np.ndarray, segs: list) -> ForwardTrace:
     u[:, : net.n_in] = batch
     x[:, : net.n_in] = batch
     for s, e, walk, _ in segs:
-        act = _relu if s < net.hidden_end else np.copy
-        ub = net.bias[s - net.n_in : e - net.n_in] + x[:, :s] @ w[:s, s:e]
-        x[:, s:e] = act(ub)
-        # in-segment edges: finish those columns in order
+        ub = x[:, :s] @ w[:s, s:e]
+        ub += net.bias[s - net.n_in : e - net.n_in]
+        if s < net.hidden_end:
+            np.maximum(ub, 0.0, out=x[:, s:e])  # ReLU
+        else:
+            x[:, s:e] = ub
+        # in-segment edges (hidden segments only): finish those columns in order
         for c in walk:
             ub[:, c] += x[:, s : s + c] @ w[s : s + c, s + c]
-            x[:, s + c] = act(ub[:, c])
+            np.maximum(ub[:, c], 0.0, out=x[:, s + c])
         u[:, s:e] = ub
     return ForwardTrace(u=u, x=x)
 
@@ -331,7 +330,9 @@ def _loss_and_gradients(
     weight_decay: float = 0.0,
     dw_blocks: list[tuple[tuple[slice, slice], np.ndarray]] | None = None,
 ):
-    """`loss_and_gradients`, plus the forward trace it ran as a fifth item."""
+    """`loss_and_gradients`, plus the forward trace it ran as a fifth item.
+    An empty `dw_blocks` list skips every dW write, for callers that need only
+    dU and the trace."""
     labels = _check_labels(net, labels)
     segs = _segments(net)
     trace = _forward(net, _check_batch(net, batch), segs)
@@ -367,7 +368,7 @@ def _loss_and_gradients(
             np.multiply(dx[:, s:e], trace.u[:, s:e] > 0.0, out=du[:, s:e])
         # nothing consumes the gradient of an input, so rows :n_in are skipped
         dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
-        rows = _mask_rows(net, s, e)
+        rows = _mask_rows(net, s, e) if dw_blocks else None
         if rows is None:
             continue
         r0, r1 = rows

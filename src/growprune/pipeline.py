@@ -32,7 +32,7 @@ from .network import (
     predict,
 )
 from .numerics import make_rng
-from .schemes import OptimizerConfig, SchemeConfig, run_scheme, train_weights, TrainingDiverged, _safe_depth
+from .schemes import OptimizerConfig, SchemeConfig, run_scheme, train_weights, TrainingDiverged, _check_count, _safe_depth
 
 log = logging.getLogger(__name__)
 
@@ -276,6 +276,10 @@ class PipelineConfig:
         bad = [r for r in self.reducers if r not in REDUCER_KINDS]
         if bad:
             raise ValueError(f"unknown reducers: {bad}")
+        _check_count("scheme_iterations", self.scheme_iterations, 1)
+        f = self.final_fraction
+        if isinstance(f, bool) or not (math.isfinite(f) and 0.0 < f <= 1.0):
+            raise ValueError(f"final_fraction must be in (0, 1], got {f!r}")
 
 
 def scheme_config_for_candidate(

@@ -11,6 +11,7 @@ from growprune.archops import (
     legal_pair_mask,
     possible_pair_count,
     prune_connections,
+    _gradient_scores,
 )
 from growprune.network import Network, forward, from_mlp, loss_and_gradients
 from growprune.numerics import make_rng
@@ -84,6 +85,18 @@ def test_gradient_growth_matches_exhaustive_ranking(rng):
         grow_connections(net, GrowthPolicy("gradient", amount=0.25, data_batch=(x, y)), rng)
         added = {(int(i), int(j)) for i, j in np.argwhere((net.mask != 0) & (before == 0))}
         assert added == want
+
+
+@pytest.mark.parametrize("n_hidden", [8, 140])
+def test_gradient_scores_match_the_public_gradients_bitwise(rng, n_hidden):
+    # the scores skip every dW write; dU and the trace must not change
+    net = random_dag(rng, n_in=6, n_hidden=n_hidden, n_out=3, density=0.3)
+    x = rng.normal(size=(9, 6))
+    y = rng.integers(0, 3, size=9)
+    _, _, _, du = loss_and_gradients(net, x, y)
+    acts = forward(net, x).x
+    want = (np.abs(acts).T @ np.abs(du)) / x.shape[0]
+    assert np.array_equal(_gradient_scores(net, (x, y)).view(np.int64), want.view(np.int64))
 
 
 def test_gradient_growth_requires_batch(rng):

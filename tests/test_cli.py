@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +465,44 @@ def test_features_csv_parse_matches_python_floats(tmp_path):
     assert np.array_equal(_load_features_csv(feats, ";;"), [[10.0, 2.0], [3.0, 4.0]])
 
 
+INTEGER_TEXTS = {
+    "signs_spaces_crlf": "+7, 5 ,0\r\n 12,+0,255\r\n",
+    "negative_zero": "0,-0,3\n-5,6,-0\n",
+    "beyond_2_53": "9007199254740993,1,2\n9007199254740995,3,18014398509481987\n",
+    "beyond_int64": "9223372036854775807,1,2\n9223372036854775808,99999999999999999999,3\n",
+    "float_in_last_row": "1,2,3\n4,5,6\n7,8,1.5\n",
+    "whitespace_lines": "1,2,3\n \t\n\n4,5,6\n   \n",
+}
+
+
+@pytest.mark.parametrize("text", INTEGER_TEXTS.values(), ids=INTEGER_TEXTS.keys())
+def test_features_csv_integer_parse_matches_python_floats(tmp_path, text):
+    feats = tmp_path / "rows.csv"
+    feats.write_bytes(text.encode())
+    want = np.array([[float(c) for c in ln.split(",")] for ln in text.splitlines() if ln.strip()])
+    got = _load_features_csv(feats)
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_integer_reader_rejects_what_older_numpy_truncates(tmp_path, monkeypatch):
+    # numpy before 2.x parses '1.5' for an integer dtype through float and
+    # truncates it, with only a DeprecationWarning
+    loadtxt = np.loadtxt
+
+    def old_loadtxt(lines, dtype=float, **kw):
+        if dtype is not np.int64:
+            return loadtxt(lines, dtype=dtype, **kw)
+        x = loadtxt(lines, **kw)
+        if (x != np.trunc(x)).any():
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return x.astype(np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    feats = tmp_path / "rows.csv"
+    feats.write_text("1,2\n3,1.5\n")
+    assert _load_features_csv(feats).tolist() == [[1.0, 2.0], [3.0, 1.5]]
+
+
 MANIFEST_ERRORS = {
     "scheme_activation": ("synth", lambda m: m["scheme"].update(activation="relu"), []),
     "scheme_misspelled_key": ("synth", lambda m: m["scheme"].update(max_iteration=3), []),
@@ -492,6 +531,9 @@ MANIFEST_ERRORS = {
     "scheme_prune_fraction_over_1": ("synth", lambda m: m["scheme"].update(init_prune_fraction=1.5), []),
     "scheme_prune_fraction_nan": ("synth", lambda m: m["scheme"].update(init_prune_fraction=float("nan")), []),
     "scheme_negative_noise": ("synth", lambda m: m["scheme"].update(noise_std=-1), []),
+    "pipeline_fractional_iterations": ("sweep", lambda m: m["pipeline"].update(scheme_iterations=2.5), []),
+    "pipeline_nan_final_fraction": ("sweep", lambda m: m["pipeline"].update(final_fraction=float("nan")), []),
+    "pipeline_negative_final_fraction": ("sweep", lambda m: m["pipeline"].update(final_fraction=-1.0), []),
 }
 
 

@@ -45,9 +45,11 @@ def test_normalize_out_of_range_passes_unclamped():
     base.splits = {"train": np.arange(3), "val": np.arange(0), "test": np.array([3])}
     ds = normalize(base)
     assert ds.features[3, 0] == 5.0  # (10 - 0) / 2, outside [0, 1]
-    # stored params replay identically
+    # stored params replay identically, and leave the caller's array alone
+    before = base.features.copy()
     again = apply_normalization(ds.normalization, base.features)
     assert np.array_equal(again, ds.features)
+    assert np.array_equal(base.features, before)
 
 
 def test_rp_sign_frequency():
