@@ -114,7 +114,7 @@ def possible_pair_count(net: Network, adjacent_only: bool = False) -> int:
 def _gradient_scores(net: Network, batch: tuple) -> np.ndarray:
     """Mean over the batch of |dLoss/du_j * x_i| for every (i, j) pair."""
     x, labels = batch
-    _, _, _, du, trace = _loss_and_gradients(net, x, labels, dw_blocks=[])
+    _, _, _, du, trace = _loss_and_gradients(net, x, labels, dw=False)
     acts = trace.x
     return (np.abs(acts).T @ np.abs(du)) / acts.shape[0]
 

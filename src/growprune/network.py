@@ -18,9 +18,10 @@ neurons that receive such an edge) in order, one gemv each. The backward pass
 walks the segment's pull set (walk columns plus the neurons that send such an
 edge) in reverse: each sender pulls its dx from the du of every later
 neuron of the segment with one gemv, then each walk column sets its du from
-its ReLU gate (`loss_and_gradients` states what this needs). The partition, the walk columns and the pull set depend only on
-neuron counts, layer ids and nonzero weights, never on the mask, so
-activating a connection with weight zero cannot perturb any float result.
+its ReLU gate (`loss_and_gradients` states what this needs). The partition,
+the walk columns and the pull set depend only on neuron counts, layer ids and
+nonzero weights, never on the mask, so activating a connection with weight
+zero cannot perturb any float result.
 
 No edge ends at an input or starts at an output, so only the legal
 rectangle `Network.rect` (rows [0, hidden_end) by columns [n_in, n)) of the
@@ -30,11 +31,25 @@ row range of the senders the mask activates into them. The backward pass
 writes each segment's dW only in the rows between the first and the last
 sender the mask activates into the segment's columns, a sub-block of the
 live block that holds those columns, so a merged layer run never multiplies
-its own same-layer square unless a grown edge lies in it. Training keeps one
-contiguous dW buffer per live block and the backward pass writes straight
-into it; the public call writes into a fresh n x n dW instead. It leaves
-dU's input columns at zero: it never computes the gradient with respect to
-an input, which nothing consumes.
+its own same-layer square unless a grown edge lies in it. It leaves dU's
+input columns at zero: it never computes the gradient with respect to an
+input, which nothing consumes.
+
+Every call runs through a step plan (`_StepPlan`). Training builds one per
+call, since the mask does not change while it trains, and keeps one
+contiguous dW buffer per live block, which the backward pass writes straight
+into. Fixed for the whole call are the layer runs, the runs the mask holds no
+edge inside, and, per segment column range, the mask's sender rows, the view
+of the live block's dW buffer they fill and whether that mask block is all
+True. A run without an in-run mask edge holds no in-run weight either
+(weights are zero off the mask), so it is one walk-free segment and its
+weights are never read. Checked on every step is the nonzero pattern of each
+other run: its walk columns and pull set are rebuilt when the pattern differs
+from the last step's. The walk is keyed on nonzero weights, not on the mask,
+because a grown edge starts at weight zero, where it needs no walk, and turns
+nonzero after the first update. A public call builds a one-off plan instead,
+which takes every run's partition from the weights alone and writes a fresh
+n x n dW (or no dW, for gradient growth).
 """
 
 from __future__ import annotations
@@ -168,27 +183,29 @@ def _layer_runs(net: Network) -> list[tuple[int, int]]:
 _NO_WALK = np.empty(0, dtype=np.int64)
 
 
-def _segments(net: Network) -> list[tuple[int, int, np.ndarray, list]]:
-    """Neuron ranges [s, e) evaluated as units, in order, each with the
-    offsets in [0, e - s) of its walk columns and its pull set; see the
-    module doc. The pull set lists, by descending offset c, every in-segment
-    neuron with an in-segment edge as (c, sends, receives): whether it sends
-    one and whether it receives one (is a walk column)."""
-    w = net.weights
+def _run_segments(nonzero: np.ndarray, a: int, e: int) -> list[tuple[int, int, np.ndarray, list]]:
+    """Segments of the hidden run [a, e) whose in-run nonzero weights are
+    `nonzero`, each with the offsets in [0, t - s) of its walk columns and its
+    pull set; see the module doc. The pull set lists, by descending offset c,
+    every in-segment neuron with an in-segment edge as (c, sends, receives):
+    whether it sends one and whether it receives one (is a walk column)."""
+    if not nonzero.any():
+        return [(a, e, _NO_WALK, [])]
     segs = []
-    for a, e in _layer_runs(net):
-        if not w[a:e, a:e].any():
-            segs.append((a, e, _NO_WALK, []))
-            continue
-        for s in range(a, e, SEGMENT):
-            t = min(s + SEGMENT, e)
-            blk = w[s:t, s:t] != 0
-            recv, send = blk.any(axis=0), blk.any(axis=1)
-            c = np.flatnonzero(recv | send)[::-1]
-            pull = list(zip(c.tolist(), send[c].tolist(), recv[c].tolist()))
-            segs.append((s, t, np.flatnonzero(recv), pull))
-    # outputs send no edges, so the output segment never walks
-    return segs + [(net.hidden_end, net.n, _NO_WALK, [])]
+    for s in range(a, e, SEGMENT):
+        t = min(s + SEGMENT, e)
+        blk = nonzero[s - a : t - a, s - a : t - a]
+        recv, send = blk.any(axis=0), blk.any(axis=1)
+        c = np.flatnonzero(recv | send)[::-1]
+        pull = list(zip(c.tolist(), send[c].tolist(), recv[c].tolist()))
+        segs.append((s, t, np.flatnonzero(recv), pull))
+    return segs
+
+
+def _segments(net: Network) -> list[tuple[int, int, np.ndarray, list]]:
+    """The partition of the non-input neurons, taken from the weights alone,
+    as (s, e, walk columns, pull set) per segment; see `_run_segments`."""
+    return _StepPlan(net, []).segments()
 
 
 def _mask_rows(net: Network, s: int, e: int) -> tuple[int, int] | None:
@@ -208,6 +225,64 @@ def live_blocks(net: Network) -> list[tuple[slice, slice]]:
         if rows is not None:
             blocks.append((slice(*rows), slice(s, e)))
     return blocks
+
+
+class _StepPlan:
+    """What the steps of one call share (module doc): the segment partition,
+    rebuilt run by run when a run's nonzero pattern changes, and each
+    segment's dW target.
+
+    `dw_blocks` holds (block, buffer) pairs whose blocks cover the columns of
+    every segment's dW; each segment's dW goes into the buffer of the block
+    that holds its columns. An empty list writes no dW. With `from_mask`, a
+    run the mask holds no edge inside is one walk-free segment without a read
+    of its weights, which needs weights zero off the mask and a mask that
+    does not change while the plan is used; otherwise every run's partition
+    comes from its weights.
+    """
+
+    def __init__(self, net: Network, dw_blocks: list, from_mask: bool = False):
+        self.net = net
+        self.dw_blocks = dw_blocks
+        # [a, e, may walk, nonzero pattern the segments were built from, segments]
+        self.runs = [
+            [a, e, not from_mask or net.mask[a:e, a:e].any(), None, [(a, e, _NO_WALK, [])]]
+            for a, e in _layer_runs(net)
+        ]
+        # outputs send no edges, so the output segment never walks
+        self.outputs = (net.hidden_end, net.n, _NO_WALK, [])
+        self.targets: dict[tuple[int, int], tuple | None] = {}
+
+    def segments(self) -> list[tuple[int, int, np.ndarray, list]]:
+        """This step's segments, in order."""
+        w = self.net.weights
+        segs = []
+        for run in self.runs:
+            a, e, may_walk, last, _ = run
+            if may_walk:
+                nonzero = w[a:e, a:e] != 0
+                if last is None or not np.array_equal(nonzero, last):
+                    run[3:] = nonzero, _run_segments(nonzero, a, e)
+            segs += run[4]
+        segs.append(self.outputs)
+        return segs
+
+    def target(self, s: int, e: int) -> tuple | None:
+        """(r0, r1, blk, live) for the segment columns [s, e): the mask's
+        sender rows [r0, r1) into them, the view of the dW buffer that takes
+        their dW block, and that mask block, or None where it is all True.
+        None when no dW is written there."""
+        if (s, e) not in self.targets:
+            rows = _mask_rows(self.net, s, e) if self.dw_blocks else None
+            if rows is None:
+                self.targets[s, e] = None
+            else:
+                r0, r1 = rows
+                (br, bc), buf = next(d for d in self.dw_blocks if d[0][1].start <= s < d[0][1].stop)
+                live = self.net.mask[r0:r1, s:e]
+                blk = buf[r0 - br.start : r1 - br.start, s - bc.start : e - bc.start]
+                self.targets[s, e] = (r0, r1, blk, None if live.all() else live)
+        return self.targets[s, e]
 
 
 def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
@@ -256,7 +331,9 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nd
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
-    loss = float((np.log(total[:, 0]) - z[np.arange(len(labels)), labels]).mean())
+    b = len(labels)
+    # add.reduce / b gives the bits of .mean() without its Python overhead
+    loss = float(np.add.reduce(np.log(total[:, 0]) - z[np.arange(b), labels]) / b)
     return loss, e / total
 
 
@@ -290,7 +367,7 @@ def loss_and_gradients(
     batch: np.ndarray,
     labels: np.ndarray,
     weight_decay: float = 0.0,
-    _dw_blocks: list[tuple[tuple[slice, slice], np.ndarray]] | None = None,
+    _plan: _StepPlan | None = None,
 ):
     """Loss plus gradients: (loss, dW, dBias, dU).
 
@@ -299,16 +376,20 @@ def loss_and_gradients(
     every neuron and sample, which gradient-based connection growth consumes;
     its input columns are zero, since no edge ends at an input.
 
-    `_dw_blocks` is for training, which keeps dW in one contiguous buffer
-    per live block: (block, buffer) pairs, one per block of `live_blocks`,
-    each buffer of its block's shape. Each segment writes its dW block, its
+    `_plan` is for training, which builds one `_StepPlan` per call over the
+    contiguous dW buffers of its live blocks and validates the batch and
+    labels once, so that this call does not. With a plan, the partition is
+    checked against the weights on each step (the module doc says what is
+    fixed and what is checked), and each segment writes its dW block, its
     columns by the row range of the senders the mask activates into them
     (`_mask_rows`), into the buffer of the live block that holds those
     columns; that range lies inside the block's rows. This is the only write
     to a buffer, and it leaves zero wherever the mask is False, so each
     buffer must be zero outside its segments' blocks, which holds wherever
     it is zero off the mask: when freshly zeroed, or after an earlier call
-    under the same mask. dW is then returned as None.
+    under the same mask. dW is then returned as None. Without a plan, the
+    call validates its inputs and runs a one-off plan that writes a fresh
+    n x n dW.
 
     Segments are visited in reverse. In a segment with in-segment edges, the
     pull set is walked by descending neuron: a sender j first gathers
@@ -320,7 +401,10 @@ def loss_and_gradients(
     dense dW block (mask all True) skips the mask multiply, which would change
     no float.
     """
-    return _loss_and_gradients(net, batch, labels, weight_decay, _dw_blocks)[:4]
+    if _plan is None:
+        return _loss_and_gradients(net, batch, labels, weight_decay)[:4]
+    loss, dbias, du, _ = _backprop(net, batch, labels, weight_decay, _plan)
+    return loss, None, dbias, du
 
 
 def _loss_and_gradients(
@@ -328,14 +412,26 @@ def _loss_and_gradients(
     batch: np.ndarray,
     labels: np.ndarray,
     weight_decay: float = 0.0,
-    dw_blocks: list[tuple[tuple[slice, slice], np.ndarray]] | None = None,
+    dw: bool = True,
 ):
-    """`loss_and_gradients`, plus the forward trace it ran as a fifth item.
-    An empty `dw_blocks` list skips every dW write, for callers that need only
-    dU and the trace."""
+    """`loss_and_gradients` without a plan, plus the forward trace it ran as
+    a fifth item. With `dw` False the one-off plan writes no dW and dW is
+    None, for callers that need only dU and the trace."""
     labels = _check_labels(net, labels)
-    segs = _segments(net)
-    trace = _forward(net, _check_batch(net, batch), segs)
+    batch = _check_batch(net, batch)
+    n = net.n
+    full = np.zeros((n, n)) if dw else None
+    # the whole n x n dW is one block at the origin
+    plan = _StepPlan(net, [((slice(0, n), slice(0, n)), full)] if dw else [])
+    loss, dbias, du, trace = _backprop(net, batch, labels, weight_decay, plan)
+    return loss, full, dbias, du, trace
+
+
+def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay: float, plan: _StepPlan):
+    """Forward pass, loss and backward pass of one call through `plan`, on a
+    validated batch and int64 labels: (loss, dBias, dU, trace)."""
+    segs = plan.segments()
+    trace = _forward(net, batch, segs)
     n, b = net.n, trace.x.shape[0]
     he = net.hidden_end
     w = net.weights
@@ -350,13 +446,9 @@ def _loss_and_gradients(
     du = np.zeros((b, n))
     dx = np.zeros((b, n))
     du[:, he:] = dlogits
-    dw = None
-    if dw_blocks is None:
-        # the whole n x n dW is one block at the origin
-        dw = np.zeros((n, n))
-        dw_blocks = [((slice(0, n), slice(0, n)), dw)]
     for s, e, _, pull in reversed(segs):
         if s < he:
+            gate = trace.u[:, s:e] > 0.0  # ReLU
             # in-segment edges: pull each sender's dx from the later columns
             # it feeds, and finish each receiver's du, in reverse order
             for c, sends, receives in pull:
@@ -364,26 +456,23 @@ def _loss_and_gradients(
                 if sends:
                     dx[:, j] += du[:, j + 1 : e] @ w[j, j + 1 : e]
                 if receives:
-                    np.multiply(dx[:, j], trace.u[:, j] > 0.0, out=du[:, j])
-            np.multiply(dx[:, s:e], trace.u[:, s:e] > 0.0, out=du[:, s:e])
+                    np.multiply(dx[:, j], gate[:, c], out=du[:, j])
+            np.multiply(dx[:, s:e], gate, out=du[:, s:e])
         # nothing consumes the gradient of an input, so rows :n_in are skipped
         dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
-        rows = _mask_rows(net, s, e) if dw_blocks else None
-        if rows is None:
+        target = plan.target(s, e)
+        if target is None:
             continue
-        r0, r1 = rows
-        (br, bc), buf = next(d for d in dw_blocks if d[0][1].start <= s < d[0][1].stop)
-        blk = buf[r0 - br.start : r1 - br.start, s - bc.start : e - bc.start]
+        r0, r1, blk, live = target
         np.matmul(trace.x[:, r0:r1].T, du[:, s:e], out=blk)
         # multiplying by True changes no float, so a dense block skips it
-        live = net.mask[r0:r1, s:e]
-        if not live.all():
+        if live is not None:
             blk *= live
         if weight_decay:
             blk += weight_decay * w[r0:r1, s:e]
 
     dbias = du[:, net.n_in :].sum(axis=0)
-    return loss, dw, dbias, du, trace
+    return loss, dbias, du, trace
 
 
 def predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarray:
@@ -552,12 +641,14 @@ def network_from_dict(d: dict) -> Network:
     if not all(type(c) is int for c in counts):
         raise ValueError(f"neuron counts must be integers, got {counts}")
     n = sum(counts)
-    net = Network(
-        *counts,
-        mask=_rle_to_mask(d["mask_rle"], n),
-        bias=d["bias"],
-        layers=d.get("layers"),
-    )
+    # layer ids decide the segment partition, and numpy would truncate a
+    # fractional id or parse a numeric string, so the entries are checked first
+    layers, bias = d.get("layers"), d.get("bias")
+    if layers is not None and not (isinstance(layers, list) and all(type(v) is int for v in layers)):
+        raise ValueError("layers must be a list of integer layer ids")
+    if not (isinstance(bias, list) and all(type(v) in (int, float) for v in bias)):
+        raise ValueError("bias must be a list of numbers")
+    net = Network(*counts, mask=_rle_to_mask(d["mask_rle"], n), bias=bias, layers=layers)
     if net.layers is not None and net.layers.shape != (n,):
         raise ValueError("layers must hold one layer id per neuron")
     triples = np.asarray(d["weights"], dtype=np.float64).reshape(-1, 3)

@@ -22,6 +22,9 @@ from .archops import GrowthPolicy, NeuronGrowthPolicy, PrunePolicy
 from .network import (
     Network,
     UnreachableOutputError,
+    _check_batch,
+    _check_labels,
+    _StepPlan,
     accuracy,
     connection_count,
     depth,
@@ -243,10 +246,16 @@ def train_weights(
     """Minibatch training for epochs_per_iteration epochs, gradients masked.
 
     Weight decay applies to active weights only, folded into the update as
-    dW + weight_decay * W; biases decay-free. The live blocks
-    (`network.live_blocks`) are computed once per call, since the mask does
-    not change while training, and each gets its own zeroed contiguous dW
-    buffer, which `loss_and_gradients` fills. The optimizer state, its
+    dW + weight_decay * W; biases decay-free. The mask does not change while
+    training, so what it decides is derived once per call: the live blocks
+    (`network.live_blocks`), each with its own zeroed contiguous dW buffer,
+    and one step plan over them (`network._StepPlan`), which holds the layer
+    runs, the runs the mask leaves walk-free and each segment's dW target.
+    Every step passes the plan to `loss_and_gradients`, which fills the
+    buffers and checks on each step only the nonzero pattern of the runs
+    that may walk. The features and labels are validated once, before the
+    first update, so a bad label or feature width raises ValueError with the
+    entry weights untouched. The optimizer state, its
     scratch buffers and every update cover only the live blocks, and a block
     the mask fills to less than SPARSE_FILL covers only its active entries
     (`_LiveUnit`); both forms run the same elementwise updates in the same
@@ -256,9 +265,11 @@ def train_weights(
     entry weights are then restored and TrainingDiverged raised.
     """
     x_train, y_train = data.train_xy()
+    y_train = _check_labels(net, y_train)
+    x_train = _check_batch(net, x_train)
     blocks = live_blocks(net)
     units = [_LiveUnit(net, blk) for blk in blocks]
-    dw_blocks = [(blk, unit.buf) for blk, unit in zip(blocks, units)]
+    plan = _StepPlan(net, [(blk, unit.buf) for blk, unit in zip(blocks, units)], from_mask=True)
     ws = [unit.w for unit in units]  # block units are views into net.weights
     dws = [unit.dw for unit in units]
     snap_w, snap_b = [w.copy() for w in ws], net.bias.copy()
@@ -281,7 +292,7 @@ def train_weights(
         with np.errstate(over="ignore", invalid="ignore"):
             for _epoch in range(opt.epochs_per_iteration):
                 for idx in _minibatches(len(y_train), opt.batch_size, rng):
-                    loss, _, dbias, _ = loss_and_gradients(net, x_train[idx], y_train[idx], _dw_blocks=dw_blocks)
+                    loss, _, dbias, _ = loss_and_gradients(net, x_train[idx], y_train[idx], _plan=plan)
                     if not math.isfinite(loss):
                         raise TrainingDiverged(f"loss became {loss}")
                     for unit in units:

@@ -2,6 +2,8 @@
 
 Everything here is deliberately naive (nested loops, per-neuron interpreters,
 full sorts, finite differences) and shares no code path with the package.
+The dense training reference takes its gradients from a function it is
+given, so that it checks only the optimizer's bookkeeping.
 """
 
 import numpy as np
@@ -159,6 +161,27 @@ def dense_adam_step(weights, bias, state, dw, dbias, lr, weight_decay, beta1=0.9
         bc1 = 1 - beta1 ** state["step"]
         bc2 = 1 - beta2 ** state["step"]
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def dense_training(net, x, y, opt, rng, gradients):
+    """What training `net` on (x, y) under the optimizer config `opt` should
+    give, in place: the same minibatches, each epoch's order drawn from `rng`
+    as training draws it, the n x n dW and dbias of `gradients(net, x, y)`
+    (the public loss_and_gradients) and the dense steps above, then the
+    weights masked, as training leaves them."""
+    state = {}
+    for _ in range(opt.epochs_per_iteration):
+        order = rng.permutation(len(y))
+        for s in range(0, len(y), opt.batch_size):
+            idx = order[s : s + opt.batch_size]
+            _, dw, dbias, _ = gradients(net, x[idx], y[idx])
+            if opt.kind == "sgd_momentum":
+                dense_sgd_momentum_step(
+                    net.weights, net.bias, state, dw, dbias, opt.learning_rate, opt.momentum, opt.weight_decay
+                )
+            else:
+                dense_adam_step(net.weights, net.bias, state, dw, dbias, opt.learning_rate, opt.weight_decay)
+    net.weights *= net.mask
 
 
 def lexsort_budget_keep(mask, weights, budget):

@@ -387,6 +387,9 @@ TAMPERED_BUNDLES = {
     "wrapped_weight_index": lambda b: b["checkpoint"]["weights"].append([-1, -1, 5.0]),
     "weight_off_mask": lambda b: b["checkpoint"]["weights"].append([0, 7, 5.0]),
     "nan_weight": lambda b: b["checkpoint"]["weights"][0].__setitem__(2, float("nan")),
+    "fractional_layer_ids": lambda b: b["checkpoint"].__setitem__("layers", [0.7] * 3 + [1.2] * 4 + [2.1] * 2),
+    "string_bias": lambda b: b["checkpoint"]["bias"].__setitem__(0, "1.5"),
+    "bool_bias": lambda b: b["checkpoint"]["bias"].__setitem__(0, True),
     "wrong_format": lambda b: b.__setitem__("format", "something-else"),
     "label_map_gap": lambda b: b.__setitem__("label_map", {"a": 0, "b": 2}),
     "label_map_short": lambda b: b.__setitem__("label_map", {"a": 0}),

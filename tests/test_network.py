@@ -556,6 +556,11 @@ TAMPERED_CHECKPOINTS = {
     "missing_mask_row": lambda d: d["mask_rle"].pop(),
     "edge_into_input": lambda d: d["mask_rle"][5].append([0, 1]),
     "short_layers": lambda d: d["layers"].pop(),
+    "fractional_layer_ids": lambda d: d.__setitem__("layers", [v + 0.7 for v in d["layers"]]),
+    "bool_layer_id": lambda d: d["layers"].__setitem__(0, False),
+    "string_layer_id": lambda d: d["layers"].__setitem__(0, "0"),
+    "string_bias": lambda d: d["bias"].__setitem__(0, "1.5"),
+    "bool_bias": lambda d: d["bias"].__setitem__(0, True),
     "float_neuron_count": lambda d: d.__setitem__("n_hidden", 4.0),
     "version_2": lambda d: d.__setitem__("version", 2),
     "tanh_activation": lambda d: d.__setitem__("activation", "tanh"),

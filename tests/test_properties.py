@@ -1,6 +1,8 @@
 """Property tests: random sequences of grow, divide, prune and train keep the
-structural invariants, and budget pruning matches the lexsort oracle."""
+structural invariants, training matches the dense oracle, and budget pruning
+matches the lexsort oracle."""
 
+import copy
 from types import SimpleNamespace
 from unittest import mock
 
@@ -22,12 +24,14 @@ from growprune.network import (
     depth,
     forward,
     from_mlp,
+    loss_and_gradients,
     prune_isolated_neurons,
 )
 from growprune.numerics import make_rng
 from growprune.schemes import OptimizerConfig, TrainingDiverged, train_weights
 from conftest import random_dag
 from oracles import (
+    dense_training,
     fixed_point_isolated,
     lexsort_budget_keep,
     longest_path_dp,
@@ -142,10 +146,15 @@ def test_random_op_sequences_keep_the_invariants(seed, ops, layered):
             opt = OptimizerConfig(
                 kind=kind, learning_rate=0.05, weight_decay=1e-3, batch_size=5, epochs_per_iteration=1
             )
+            ref, order_rng = net.clone(), copy.deepcopy(rng)
             try:
                 train_weights(net, data, opt, rng)
             except TrainingDiverged:
-                pass
+                pass  # `ref` holds the entry weights and bias, which must be back
+            else:
+                dense_training(ref, x, y, opt, order_rng, loss_and_gradients)
+            assert np.array_equal(net.weights.view(np.int64), ref.weights.view(np.int64))
+            assert np.array_equal(net.bias.view(np.int64), ref.bias.view(np.int64))
         assert_structure(net)
 
 

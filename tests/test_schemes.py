@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from growprune.archops import GrowthPolicy, grow_connections
 from growprune.data import make_blobs, make_moons, split
 from growprune.network import (
     SEGMENT,
@@ -28,7 +29,7 @@ from growprune.schemes import (
 )
 
 from conftest import random_dag
-from oracles import dense_adam_step, dense_sgd_momentum_step
+from oracles import dense_training
 
 
 def blob_dataset(seed=0, n=150, std=0.6):
@@ -105,20 +106,7 @@ def assert_training_matches_dense_oracle(net, kind):
     ref = net.clone()
     w0 = net.weights.copy()
     train_weights(net, data, opt, make_rng(9))
-
-    order_rng, state = make_rng(9), {}
-    for _ in range(opt.epochs_per_iteration):
-        order = order_rng.permutation(len(y))
-        for s in range(0, len(y), opt.batch_size):
-            idx = order[s : s + opt.batch_size]
-            _, dw, dbias, _ = loss_and_gradients(ref, x[idx], y[idx])
-            if kind == "sgd_momentum":
-                dense_sgd_momentum_step(
-                    ref.weights, ref.bias, state, dw, dbias, opt.learning_rate, opt.momentum, opt.weight_decay
-                )
-            else:
-                dense_adam_step(ref.weights, ref.bias, state, dw, dbias, opt.learning_rate, opt.weight_decay)
-    ref.weights *= ref.mask
+    dense_training(ref, x, y, opt, make_rng(9), loss_and_gradients)
     assert np.array_equal(net.weights.view(np.int64), ref.weights.view(np.int64))
     assert np.array_equal(net.bias.view(np.int64), ref.bias.view(np.int64))
     outside = np.ones((net.n, net.n), dtype=bool)
@@ -137,6 +125,38 @@ def test_rectangle_update_matches_dense_oracle(kind):
 @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
 def test_update_matches_dense_oracle_while_the_partition_changes(kind):
     assert_training_matches_dense_oracle(wide_mlp_with_a_zero_weight_edge(), kind)
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_update_matches_dense_oracle_while_the_walk_changes(kind):
+    # every legal pair grown at weight zero: the hidden runs, narrower than
+    # SEGMENT, keep their partition, while the grown in-run edges join the
+    # walk after the first update
+    net = layered_random_dag()
+    grow_connections(net, GrowthPolicy("full"), make_rng(7))
+    before = _segments(net)
+    assert_training_matches_dense_oracle(net, kind)
+    after = _segments(net)
+    assert [seg[:2] for seg in after] == [seg[:2] for seg in before]
+    assert [seg[2].tolist() for seg in after] != [seg[2].tolist() for seg in before]
+
+
+@pytest.mark.parametrize("bad", ["label", "width"])
+def test_bad_training_data_fails_before_any_update(bad):
+    net = from_mlp([3, 6, 3], make_rng(2))
+    rng = make_rng(3)
+    x = rng.normal(size=(40, 3))
+    y = rng.integers(0, 3, size=40)
+    if bad == "label":
+        y[14] = 3  # drawn into the last minibatch of the first epoch
+    else:
+        x = x[:, :2]
+    data = SimpleNamespace(train_xy=lambda: (x, y))
+    w0, b0 = net.weights.copy(), net.bias.copy()
+    with pytest.raises(ValueError, match="label out of range" if bad == "label" else "batch width"):
+        train_weights(net, data, OptimizerConfig(batch_size=8, epochs_per_iteration=2), make_rng(4))
+    assert np.array_equal(net.weights.view(np.int64), w0.view(np.int64))
+    assert np.array_equal(net.bias.view(np.int64), b0.view(np.int64))
 
 
 def mlp_with_a_sparse_and_a_dense_block():
