@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, _loss_and_gradients, forward, legal_pair_mask, prune_isolated_neurons
+from .network import Network, forward, legal_pair_mask, loss_and_gradients, prune_isolated_neurons
 
 log = logging.getLogger(__name__)
 
@@ -114,8 +114,8 @@ def possible_pair_count(net: Network, adjacent_only: bool = False) -> int:
 def _gradient_scores(net: Network, batch: tuple) -> np.ndarray:
     """Mean over the batch of |dLoss/du_j * x_i| for every (i, j) pair."""
     x, labels = batch
-    _, _, _, du, trace = _loss_and_gradients(net, x, labels, dw=False)
-    acts = trace.x
+    _, _, _, du = loss_and_gradients(net, x, labels)
+    acts = forward(net, x).x
     return (np.abs(acts).T @ np.abs(du)) / acts.shape[0]
 
 

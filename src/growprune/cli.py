@@ -23,7 +23,7 @@ import numpy as np
 from .data import CsvSchema, DataError, Dataset, load_csv, load_dataset, load_idx, make_blobs, make_embedded_clusters, make_moons, save_dataset, split, split_from_files
 from .dimreduce import normalize
 from .energy import count_ops, estimate_energy
-from .network import accuracy, checkpoint_dict, connection_count, from_mlp
+from .network import checkpoint_dict, connection_count, from_mlp
 from .numerics import make_rng
 from .pipeline import (
     BaselineSearchConfig,

@@ -151,7 +151,8 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
 
 def _read_idx(path, expect_magic):
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if len(raw) < 4:
@@ -272,14 +273,17 @@ _NPZ_MEMBERS = ("features", "labels", "train", "val", "test", "meta")
 _META_KEYS = ("n_classes", "label_map", "provenance", "normalization")
 
 
-def _numbers(values, count: int) -> bool:
-    """True for a list of `count` finite JSON numbers."""
-    return (
-        isinstance(values, list)
-        and len(values) == count
-        and all(type(v) in (int, float) for v in values)
-        and bool(np.all(np.isfinite(values)))
-    )
+def finite_numbers(values) -> np.ndarray | None:
+    """`values`, nested lists of JSON numbers, as a float64 array; None unless
+    every entry is a finite int or float (numpy would take bools and strings)."""
+    try:
+        a = np.asarray(values, dtype=object)
+        if not all(type(v) in (int, float) for v in a.flat):
+            return None
+        a = a.astype(np.float64)
+    except (ValueError, OverflowError):  # ragged lists, ints beyond float64
+        return None
+    return a if np.all(np.isfinite(a)) else None
 
 
 def _check_meta(path, meta: dict, features: np.ndarray) -> None:
@@ -299,7 +303,8 @@ def _check_meta(path, meta: dict, features: np.ndarray) -> None:
     if norm is not None:
         # a features member that is not 2-D fails Dataset.validate
         width = features.shape[-1] if features.ndim else 0
-        if not (isinstance(norm, dict) and all(_numbers(norm.get(k), width) for k in ("min", "scale"))):
+        arrays = [finite_numbers(norm.get(k)) for k in ("min", "scale")] if isinstance(norm, dict) else [None]
+        if not all(a is not None and a.shape == (width,) for a in arrays):
             raise DataError(f"{path}: normalization must be null or hold {width} finite min and scale values each")
 
 
@@ -308,14 +313,16 @@ def load_dataset(path) -> Dataset:
     file is an npz archive holding every member and meta key, and the meta
     values have the types and sizes save_dataset writes."""
     try:
-        z = np.load(path)
-        if not isinstance(z, np.lib.npyio.NpzFile):
-            raise DataError(f"{path} is not an npz archive")
-        with z:
-            missing = [k for k in _NPZ_MEMBERS if k not in z.files]
-            if missing:
-                raise DataError(f"{path} lacks the npz members {missing}")
-            members = {k: z[k] for k in _NPZ_MEMBERS}
+        # np.load leaks the handle of a path whose archive is corrupt
+        with open(path, "rb") as f:
+            z = np.load(f)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise DataError(f"{path} is not an npz archive")
+            with z:
+                missing = [k for k in _NPZ_MEMBERS if k not in z.files]
+                if missing:
+                    raise DataError(f"{path} lacks the npz members {missing}")
+                members = {k: z[k] for k in _NPZ_MEMBERS}
         meta = json.loads(bytes(members.pop("meta")).decode())
     except (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         # a corrupt archive raises BadZipFile or zlib.error, not OSError

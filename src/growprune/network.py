@@ -3,8 +3,8 @@
 Neurons are globally ordered: inputs first, hidden next, outputs last. Any
 earlier neuron may feed any later one, so the wiring (a strictly
 upper-triangular bool mask) determines the depth of the network rather than
-a fixed layer structure. Pruned weights are exactly zero, which lets the
-forward pass ignore the mask entirely and work off the weight matrix alone.
+a fixed layer structure. Pruned weights are exactly zero, so the arithmetic
+works off the weight matrix alone.
 
 Forward and backward passes visit the same partition of the non-input
 neurons into segments (`_segments`). Hidden neurons are cut into runs
@@ -18,10 +18,11 @@ neurons that receive such an edge) in order, one gemv each. The backward pass
 walks the segment's pull set (walk columns plus the neurons that send such an
 edge) in reverse: each sender pulls its dx from the du of every later
 neuron of the segment with one gemv, then each walk column sets its du from
-its ReLU gate (`loss_and_gradients` states what this needs). The partition,
-the walk columns and the pull set depend only on neuron counts, layer ids and
-nonzero weights, never on the mask, so activating a connection with weight
-zero cannot perturb any float result.
+its ReLU gate (`loss_and_gradients` states what this needs). A run the mask
+holds no edge inside is one walk-free segment, read without its weights,
+which are zero off the mask; any other run is partitioned by its nonzero
+weights. Activating a connection with weight zero therefore cannot perturb
+any float result.
 
 No edge ends at an input or starts at an output, so only the legal
 rectangle `Network.rect` (rows [0, hidden_end) by columns [n_in, n)) of the
@@ -35,21 +36,12 @@ its own same-layer square unless a grown edge lies in it. It leaves dU's
 input columns at zero: it never computes the gradient with respect to an
 input, which nothing consumes.
 
-Every call runs through a step plan (`_StepPlan`). Training builds one per
-call, since the mask does not change while it trains, and keeps one
-contiguous dW buffer per live block, which the backward pass writes straight
-into. Fixed for the whole call are the layer runs, the runs the mask holds no
-edge inside, and, per segment column range, the mask's sender rows, the view
-of the live block's dW buffer they fill and whether that mask block is all
-True. A run without an in-run mask edge holds no in-run weight either
-(weights are zero off the mask), so it is one walk-free segment and its
-weights are never read. Checked on every step is the nonzero pattern of each
-other run: its walk columns and pull set are rebuilt when the pattern differs
-from the last step's. The walk is keyed on nonzero weights, not on the mask,
-because a grown edge starts at weight zero, where it needs no walk, and turns
-nonzero after the first update. A public call builds a one-off plan instead,
-which takes every run's partition from the weights alone and writes a fresh
-n x n dW (or no dW, for gradient growth).
+Every call runs through a step plan (`_StepPlan`), built once per training
+call and once per public call. It fixes the layer runs, which of them the
+mask holds an edge inside, and per segment the dW target; it rebuilds the
+walk columns and pull set of a run whose nonzero pattern changed since the
+last step, since a grown edge starts at weight zero, where it needs no walk,
+and turns nonzero after the first update.
 """
 
 from __future__ import annotations
@@ -203,8 +195,8 @@ def _run_segments(nonzero: np.ndarray, a: int, e: int) -> list[tuple[int, int, n
 
 
 def _segments(net: Network) -> list[tuple[int, int, np.ndarray, list]]:
-    """The partition of the non-input neurons, taken from the weights alone,
-    as (s, e, walk columns, pull set) per segment; see `_run_segments`."""
+    """The partition of the non-input neurons, as (s, e, walk columns, pull
+    set) per segment; see `_run_segments`."""
     return _StepPlan(net, []).segments()
 
 
@@ -234,20 +226,17 @@ class _StepPlan:
 
     `dw_blocks` holds (block, buffer) pairs whose blocks cover the columns of
     every segment's dW; each segment's dW goes into the buffer of the block
-    that holds its columns. An empty list writes no dW. With `from_mask`, a
-    run the mask holds no edge inside is one walk-free segment without a read
-    of its weights, which needs weights zero off the mask and a mask that
-    does not change while the plan is used; otherwise every run's partition
-    comes from its weights.
+    that holds its columns. A run the mask holds no edge inside is one
+    walk-free segment whose weights are never read; the mask must not change
+    while the plan is used.
     """
 
-    def __init__(self, net: Network, dw_blocks: list, from_mask: bool = False):
+    def __init__(self, net: Network, dw_blocks: list):
         self.net = net
         self.dw_blocks = dw_blocks
         # [a, e, may walk, nonzero pattern the segments were built from, segments]
         self.runs = [
-            [a, e, not from_mask or net.mask[a:e, a:e].any(), None, [(a, e, _NO_WALK, [])]]
-            for a, e in _layer_runs(net)
+            [a, e, net.mask[a:e, a:e].any(), None, [(a, e, _NO_WALK, [])]] for a, e in _layer_runs(net)
         ]
         # outputs send no edges, so the output segment never walks
         self.outputs = (net.hidden_end, net.n, _NO_WALK, [])
@@ -271,9 +260,9 @@ class _StepPlan:
         """(r0, r1, blk, live) for the segment columns [s, e): the mask's
         sender rows [r0, r1) into them, the view of the dW buffer that takes
         their dW block, and that mask block, or None where it is all True.
-        None when no dW is written there."""
+        None when the columns receive no active edge."""
         if (s, e) not in self.targets:
-            rows = _mask_rows(self.net, s, e) if self.dw_blocks else None
+            rows = _mask_rows(self.net, s, e)
             if rows is None:
                 self.targets[s, e] = None
             else:
@@ -378,18 +367,15 @@ def loss_and_gradients(
 
     `_plan` is for training, which builds one `_StepPlan` per call over the
     contiguous dW buffers of its live blocks and validates the batch and
-    labels once, so that this call does not. With a plan, the partition is
-    checked against the weights on each step (the module doc says what is
-    fixed and what is checked), and each segment writes its dW block, its
-    columns by the row range of the senders the mask activates into them
-    (`_mask_rows`), into the buffer of the live block that holds those
-    columns; that range lies inside the block's rows. This is the only write
-    to a buffer, and it leaves zero wherever the mask is False, so each
-    buffer must be zero outside its segments' blocks, which holds wherever
-    it is zero off the mask: when freshly zeroed, or after an earlier call
-    under the same mask. dW is then returned as None. Without a plan, the
-    call validates its inputs and runs a one-off plan that writes a fresh
-    n x n dW.
+    labels once, so that this call does not. Each segment then writes its dW
+    block, its columns by the row range of the senders the mask activates
+    into them (`_mask_rows`), into the buffer of the live block that holds
+    those columns. This is the only write to a buffer, and it leaves zero
+    wherever the mask is False, so each buffer must be zero outside its
+    segments' blocks, which holds wherever it is zero off the mask: when
+    freshly zeroed, or after an earlier call under the same mask. dW is then
+    returned as None. Without a plan, the call validates its inputs and runs
+    a one-off plan that writes a fresh n x n dW.
 
     Segments are visited in reverse. In a segment with in-segment edges, the
     pull set is walked by descending neuron: a sender j first gathers
@@ -401,35 +387,21 @@ def loss_and_gradients(
     dense dW block (mask all True) skips the mask multiply, which would change
     no float.
     """
+    dw = None
     if _plan is None:
-        return _loss_and_gradients(net, batch, labels, weight_decay)[:4]
-    loss, dbias, du, _ = _backprop(net, batch, labels, weight_decay, _plan)
-    return loss, None, dbias, du
-
-
-def _loss_and_gradients(
-    net: Network,
-    batch: np.ndarray,
-    labels: np.ndarray,
-    weight_decay: float = 0.0,
-    dw: bool = True,
-):
-    """`loss_and_gradients` without a plan, plus the forward trace it ran as
-    a fifth item. With `dw` False the one-off plan writes no dW and dW is
-    None, for callers that need only dU and the trace."""
-    labels = _check_labels(net, labels)
-    batch = _check_batch(net, batch)
-    n = net.n
-    full = np.zeros((n, n)) if dw else None
-    # the whole n x n dW is one block at the origin
-    plan = _StepPlan(net, [((slice(0, n), slice(0, n)), full)] if dw else [])
-    loss, dbias, du, trace = _backprop(net, batch, labels, weight_decay, plan)
-    return loss, full, dbias, du, trace
+        labels = _check_labels(net, labels)
+        batch = _check_batch(net, batch)
+        n = net.n
+        dw = np.zeros((n, n))
+        # the whole n x n dW is one block at the origin
+        _plan = _StepPlan(net, [((slice(0, n), slice(0, n)), dw)])
+    loss, dbias, du = _backprop(net, batch, labels, weight_decay, _plan)
+    return loss, dw, dbias, du
 
 
 def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay: float, plan: _StepPlan):
     """Forward pass, loss and backward pass of one call through `plan`, on a
-    validated batch and int64 labels: (loss, dBias, dU, trace)."""
+    validated batch and int64 labels: (loss, dBias, dU)."""
     segs = plan.segments()
     trace = _forward(net, batch, segs)
     n, b = net.n, trace.x.shape[0]
@@ -472,7 +444,7 @@ def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay:
             blk += weight_decay * w[r0:r1, s:e]
 
     dbias = du[:, net.n_in :].sum(axis=0)
-    return loss, dbias, du, trace
+    return loss, dbias, du
 
 
 def predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarray:

@@ -19,7 +19,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, finite_numbers
 from .dimreduce import REDUCER_KINDS, Reducer, fit_reducer, normalize, reduce_dataset, shrink_architecture, transform, apply_normalization
 from .energy import count_ops, count_reducer_ops, estimate_energy
 from .network import (
@@ -460,9 +460,9 @@ def save_bundle(bundle: dict, path) -> None:
 def _finite(params: dict, key: str) -> np.ndarray:
     if key not in params:
         raise ValueError(f"missing {key}")
-    a = np.asarray(params[key], dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{key} must hold finite numbers")
+    a = finite_numbers(params[key])
+    if a is None:
+        raise ValueError(f"{key} must hold only finite numbers")
     return a
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -96,6 +96,15 @@ def default_steps(scheme: str) -> list[dict]:
     raise ValueError(f"unknown scheme: {scheme}")
 
 
+# the keys each step op reads besides "op"
+STEP_KEYS = {
+    "train": {"checkpoint"},
+    "grow_connections": {"kind", "fraction_of_possible", "target_fraction_of_possible", "fraction_of_inactive"},
+    "prune_connections": {"threshold", "budget", "budget_key", "keep_fraction", "prune_fraction"},
+    "grow_neurons": {"kind", "count", "noise_std", "fresh_connection_fraction", "selection_stat"},
+}
+
+
 @dataclass
 class SchemeConfig:
     """Everything one synthesis run needs besides the dataset."""
@@ -136,6 +145,31 @@ class SchemeConfig:
                 raise ValueError(f"scheme {self.scheme} needs layer_sizes")
             if self.final_connections is None:
                 raise ValueError(f"scheme {self.scheme} needs final_connections")
+        for i, step in enumerate(self.steps or []):
+            self._check_step(i, step)
+
+    def _check_step(self, i: int, step) -> None:
+        """Raise ValueError unless `step` is a dict of a known op and kind,
+        with only keys that op reads and, for a prune, a target."""
+        if not isinstance(step, dict):
+            raise ValueError(f"step {i} must be a dict, got {step!r}")
+        op = step.get("op")
+        if op not in STEP_KEYS:
+            raise ValueError(f"step {i}: unknown op {op!r}")
+        unknown = sorted(set(step) - STEP_KEYS[op] - {"op"})
+        if unknown:
+            raise ValueError(f"step {i} ({op}): keys {unknown} are not read by this op")
+        if "kind" in step:
+            kinds = archops.GROWTH_KINDS if op == "grow_connections" else archops.NEURON_GROWTH_KINDS
+            if step["kind"] not in kinds:
+                raise ValueError(f"step {i} ({op}): unknown kind {step['kind']!r}")
+        if op == "prune_connections" and not step.keys() & STEP_KEYS[op]:
+            raise ValueError(f"step {i}: a prune step needs one of {sorted(STEP_KEYS[op])}")
+        if "budget_key" in step:
+            key = step["budget_key"]
+            value = getattr(self, key) if key in [f.name for f in fields(self)] else None
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"step {i}: budget_key {key!r} names no integer field")
 
     def resolved_steps(self) -> list[dict]:
         return self.steps if self.steps is not None else default_steps(self.scheme)
@@ -245,45 +279,41 @@ def train_weights(
 ) -> Network:
     """Minibatch training for epochs_per_iteration epochs, gradients masked.
 
-    Weight decay applies to active weights only, folded into the update as
-    dW + weight_decay * W; biases decay-free. The mask does not change while
-    training, so what it decides is derived once per call: the live blocks
-    (`network.live_blocks`), each with its own zeroed contiguous dW buffer,
-    and one step plan over them (`network._StepPlan`), which holds the layer
-    runs, the runs the mask leaves walk-free and each segment's dW target.
-    Every step passes the plan to `loss_and_gradients`, which fills the
-    buffers and checks on each step only the nonzero pattern of the runs
-    that may walk. The features and labels are validated once, before the
-    first update, so a bad label or feature width raises ValueError with the
-    entry weights untouched. The optimizer state, its
-    scratch buffers and every update cover only the live blocks, and a block
-    the mask fills to less than SPARSE_FILL covers only its active entries
-    (`_LiveUnit`); both forms run the same elementwise updates in the same
-    order, so they give the same floats. The weights outside them stay
-    exactly zero. Divergence is a non-finite cross-entropy loss (the decay
-    term is not part of it) or a non-finite weight after the last step: the
-    entry weights are then restored and TrainingDiverged raised.
+    The mask does not change while training, so it is read once per call:
+    the live blocks (`network.live_blocks`), each with its own zeroed dW
+    buffer, and one step plan over them (`network._StepPlan`), which every
+    step passes to `loss_and_gradients`. The features and labels are
+    validated once, before the first update, so a bad label or feature width
+    raises ValueError with the entry weights untouched.
+
+    The optimizer updates one list of parameters: the live blocks, then the
+    bias. A block the mask fills to less than SPARSE_FILL enters as the
+    vector of its active entries (`_LiveUnit`); both forms run the same
+    elementwise updates, so they give the same floats. Weight decay applies
+    to the blocks only, folded into the update as dW + weight_decay * W. A
+    masked dW entry is zero, so every weight off the mask stays exactly zero.
+    Divergence is a non-finite cross-entropy loss (the decay term is not part
+    of it) or a non-finite weight after the last step: the entry weights are
+    then restored and TrainingDiverged raised.
     """
     x_train, y_train = data.train_xy()
     y_train = _check_labels(net, y_train)
     x_train = _check_batch(net, x_train)
     blocks = live_blocks(net)
     units = [_LiveUnit(net, blk) for blk in blocks]
-    plan = _StepPlan(net, [(blk, unit.buf) for blk, unit in zip(blocks, units)], from_mask=True)
-    ws = [unit.w for unit in units]  # block units are views into net.weights
-    dws = [unit.dw for unit in units]
-    snap_w, snap_b = [w.copy() for w in ws], net.bias.copy()
+    plan = _StepPlan(net, [(blk, unit.buf) for blk, unit in zip(blocks, units)])
+    # block units are views into net.weights; the bias is the last entry
+    ws = [unit.w for unit in units] + [net.bias]
+    dws = [unit.dw for unit in units] + [None]  # the bias gradient, set each step
+    snaps = [w.copy() for w in ws]
     lr = opt.learning_rate * lr_scale
     tmps = [np.empty_like(w) for w in ws]
     if opt.kind == "sgd_momentum":
-        vel_w = [np.zeros_like(w) for w in ws]
-        vel_b = np.zeros_like(net.bias)
+        vels = [np.zeros_like(w) for w in ws]
     else:
         m_w = [np.zeros_like(w) for w in ws]
         v_w = [np.zeros_like(w) for w in ws]
         dens = [np.empty_like(w) for w in ws]
-        m_b = np.zeros_like(net.bias)
-        v_b = np.zeros_like(net.bias)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
     try:
@@ -292,22 +322,19 @@ def train_weights(
         with np.errstate(over="ignore", invalid="ignore"):
             for _epoch in range(opt.epochs_per_iteration):
                 for idx in _minibatches(len(y_train), opt.batch_size, rng):
-                    loss, _, dbias, _ = loss_and_gradients(net, x_train[idx], y_train[idx], _plan=plan)
+                    loss, _, dws[-1], _ = loss_and_gradients(net, x_train[idx], y_train[idx], _plan=plan)
                     if not math.isfinite(loss):
                         raise TrainingDiverged(f"loss became {loss}")
                     for unit in units:
                         unit.gather()
                     if opt.weight_decay:
-                        for w, dw, tmp in zip(ws, dws, tmps):
+                        for w, dw, tmp in zip(ws[:-1], dws, tmps):
                             dw += np.multiply(opt.weight_decay, w, tmp)
                     if opt.kind == "sgd_momentum":
-                        for w, dw, tmp, vel in zip(ws, dws, tmps, vel_w):
+                        for w, dw, tmp, vel in zip(ws, dws, tmps, vels):
                             vel *= opt.momentum
                             vel += dw
                             w -= np.multiply(lr, vel, tmp)
-                        vel_b *= opt.momentum
-                        vel_b += dbias
-                        net.bias -= lr * vel_b
                     else:
                         step += 1
                         bc1 = 1 - beta1**step
@@ -323,27 +350,16 @@ def train_weights(
                             np.multiply(lr, np.divide(m, bc1, tmp), tmp)
                             np.add(np.sqrt(np.divide(v, bc2, den), den), eps, den)
                             w -= np.divide(tmp, den, tmp)
-                        m_b *= beta1
-                        m_b += (1 - beta1) * dbias
-                        v_b *= beta2
-                        v_b += (1 - beta2) * dbias * dbias
-                        net.bias -= lr * (m_b / bc1) / (np.sqrt(v_b / bc2) + eps)
                     for unit in units:
                         unit.scatter(net.weights)
-        if not (all(np.all(np.isfinite(w)) for w in ws) and np.all(np.isfinite(net.bias))):
+        if not all(np.all(np.isfinite(w)) for w in ws):
             raise TrainingDiverged("non-finite weights after update")
     except TrainingDiverged:
-        for unit, w, snap in zip(units, ws, snap_w):
+        for w, snap in zip(ws, snaps):
             w[...] = snap
+        for unit in units:
             unit.scatter(net.weights)
-        net.bias[:] = snap_b
         raise
-    # masked gradients keep pruned weights at exactly zero, but the adam
-    # denominator path must not have perturbed them either; an indexed unit
-    # never touches them
-    for unit, blk in zip(units, blocks):
-        if unit.take is None:
-            unit.w *= net.mask[blk]
     return net
 
 
@@ -415,10 +431,8 @@ def _apply_prune_step(net, step, cfg):
             budget = getattr(cfg, step["budget_key"])
         elif "keep_fraction" in step:
             budget = int(math.floor(step["keep_fraction"] * active + 0.5))
-        elif "prune_fraction" in step:
+        else:  # SchemeConfig checks that a prune step has a target
             budget = int(math.floor((1.0 - step["prune_fraction"]) * active + 0.5))
-        else:
-            raise ValueError(f"prune step needs a target: {step}")
         policy = PrunePolicy(budget=budget)
     archops.prune_connections(net, policy)
 
@@ -528,11 +542,9 @@ def run_scheme(
                 _apply_growth_step(net, step, cfg, rng, batch)
             elif op == "prune_connections":
                 _apply_prune_step(net, step, cfg)
-            elif op == "grow_neurons":
+            else:  # grow_neurons, the last op SchemeConfig accepts
                 batch = _sample_batch(data, cfg.optimizer, rng)
                 _apply_neuron_step(net, step, cfg, rng, batch)
-            else:
-                raise ValueError(f"unknown step op: {op}")
         if it_diverged:
             net = snap
             row = consider(it)

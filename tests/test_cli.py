@@ -14,6 +14,7 @@ from growprune.data import load_dataset
 from growprune.network import checkpoint_dict, from_mlp, load_checkpoint
 from growprune.numerics import make_rng
 from growprune.pipeline import load_bundle, make_bundle
+from growprune.schemes import run_scheme
 
 
 def toy_manifest(out, seeds=1, scheme="C"):
@@ -375,6 +376,8 @@ def test_infer_valid_bundle_predicts(tmp_path):
 NORMALIZE_5 = {"op": "normalize", "min": [0.0] * 5, "scale": [0.5] * 5}
 PCA_5_TO_3 = {"kind": "pca", "d": 5, "k": 3, "mean": [0.1] * 5, "components": np.eye(5, 3).tolist()}
 PCA_STEP = {"op": "reduce", "reducer": PCA_5_TO_3}
+RP_3 = {"kind": "rp_sign", "d": 3, "k": 3, "matrix": np.eye(3).tolist()}
+PCA_3 = {"kind": "pca", "d": 3, "k": 3, "mean": [0.0] * 3, "components": np.eye(3).tolist()}
 
 
 def test_infer_bundle_with_preprocess_chain_predicts(tmp_path):
@@ -407,6 +410,21 @@ TAMPERED_BUNDLES = {
     "width_into_network": lambda b: b.__setitem__("preprocess", [NORMALIZE_5]),
     "width_between_steps": lambda b: b.__setitem__(
         "preprocess", [{"op": "normalize", "min": [0] * 4, "scale": [1] * 4}, PCA_STEP]
+    ),
+    "normalize_string_min": lambda b: b.__setitem__(
+        "preprocess", [{"op": "normalize", "min": ["0", "0.5", "1"], "scale": [1] * 3}]
+    ),
+    "normalize_bool_scale": lambda b: b.__setitem__(
+        "preprocess", [{"op": "normalize", "min": [0] * 3, "scale": [1, True, 1]}]
+    ),
+    "reducer_string_matrix": lambda b: b.__setitem__(
+        "preprocess", [{"op": "reduce", "reducer": {**RP_3, "matrix": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}}]
+    ),
+    "pca_bool_mean": lambda b: b.__setitem__(
+        "preprocess", [{"op": "reduce", "reducer": {**PCA_3, "mean": [0, False, 0]}}]
+    ),
+    "pca_string_components": lambda b: b.__setitem__(
+        "preprocess", [{"op": "reduce", "reducer": {**PCA_3, "components": [["1", 0, 0], [0, 1, 0], [0, 0, 1]]}}]
     ),
 }
 
@@ -506,6 +524,10 @@ def test_integer_reader_rejects_what_older_numpy_truncates(tmp_path, monkeypatch
     assert _load_features_csv(feats).tolist() == [[1.0, 2.0], [3.0, 1.5]]
 
 
+def with_step(step):
+    return lambda m: m["scheme"].update(steps=[step, {"op": "train"}])
+
+
 MANIFEST_ERRORS = {
     "scheme_activation": ("synth", lambda m: m["scheme"].update(activation="relu"), []),
     "scheme_misspelled_key": ("synth", lambda m: m["scheme"].update(max_iteration=3), []),
@@ -537,6 +559,15 @@ MANIFEST_ERRORS = {
     "pipeline_fractional_iterations": ("sweep", lambda m: m["pipeline"].update(scheme_iterations=2.5), []),
     "pipeline_nan_final_fraction": ("sweep", lambda m: m["pipeline"].update(final_fraction=float("nan")), []),
     "pipeline_negative_final_fraction": ("sweep", lambda m: m["pipeline"].update(final_fraction=-1.0), []),
+    "step_misspelled_growth_key": (
+        "synth", with_step({"op": "grow_connections", "kind": "random", "fraction_of_posible": 0.5}), []
+    ),
+    "step_misspelled_prune_key": ("synth", with_step({"op": "prune_connections", "budget_keys": "final_connections"}), []),
+    "step_unknown_op": ("synth", with_step({"op": "no_such_op"}), []),
+    "step_unknown_kind": ("synth", with_step({"op": "grow_connections", "kind": "gradiant"}), []),
+    "step_no_prune_target": ("synth", with_step({"op": "prune_connections"}), []),
+    "step_budget_key_not_int": ("synth", with_step({"op": "prune_connections", "budget_key": "noise_std"}), []),
+    "step_not_a_dict": ("synth", with_step("train"), []),
 }
 
 
@@ -578,22 +609,32 @@ def test_artifacts_confined_to_out_dir(tmp_path, monkeypatch):
     assert all(str(p).startswith(str(out)) for p in created)
 
 
-def test_failed_run_removes_the_directories_it_created(tmp_path):
+def fail_run_at_seed(monkeypatch, seed):
+    """Make synth's run of `seed` fail after its history file exists."""
+    real = run_scheme
+
+    def failing(cfg, data, **kwargs):
+        if cfg.seed == seed:
+            raise RuntimeError("run failure")
+        return real(cfg, data, **kwargs)
+
+    monkeypatch.setattr("growprune.cli.run_scheme", failing)
+
+
+def test_failed_run_removes_the_directories_it_created(tmp_path, monkeypatch):
     out = tmp_path / "new" / "broken"
-    manifest = toy_manifest(out, seeds=2)
-    manifest["scheme"]["steps"] = [{"op": "no_such_op"}]
+    fail_run_at_seed(monkeypatch, 1)
     (tmp_path / "new").mkdir()
     (tmp_path / "new" / "keep.txt").write_text("mine\n")
-    assert main(["synth", "--manifest", write_manifest(tmp_path, manifest)]) == 4
+    assert main(["synth", "--manifest", write_manifest(tmp_path, toy_manifest(out, seeds=2))]) == 4
     assert not out.exists()
     assert (tmp_path / "new" / "keep.txt").read_text() == "mine\n"
 
 
-def test_failed_run_removes_partial_artifacts(tmp_path):
+def test_failed_run_removes_partial_artifacts(tmp_path, monkeypatch):
     out = tmp_path / "broken"
-    manifest = toy_manifest(out)
-    manifest["scheme"]["steps"] = [{"op": "no_such_op"}]
-    m = write_manifest(tmp_path, manifest)
+    fail_run_at_seed(monkeypatch, 0)
+    m = write_manifest(tmp_path, toy_manifest(out))
     assert main(["synth", "--manifest", m]) == 4
     leftovers = [p for p in out.rglob("*") if p.is_file()]
     assert leftovers == []
