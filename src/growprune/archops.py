@@ -66,8 +66,8 @@ class NeuronGrowthPolicy:
     def __post_init__(self):
         if self.kind not in NEURON_GROWTH_KINDS:
             raise ValueError(f"unknown neuron growth kind: {self.kind}")
-        if self.noise_std is not None and self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
+        if self.noise_std is not None and not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not (0.0 < self.fresh_connection_fraction <= 1.0):
             raise ValueError("fresh_connection_fraction must be in (0, 1]")
         if self.selection_stat not in ("mean", "max"):
@@ -85,8 +85,8 @@ class PrunePolicy:
     def __post_init__(self):
         if (self.threshold is None) == (self.budget is None):
             raise ValueError("set exactly one of threshold/budget")
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
+        if self.threshold is not None and not self.threshold >= 0:
+            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if self.budget is not None and self.budget < 0:
             raise ValueError("budget must be >= 0")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,12 @@ def _check_count(name: str, value, low: int) -> None:
     """Raise ValueError unless value is an integer (not a bool) >= low."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_fraction(name: str, value) -> None:
+    """Raise ValueError unless value lies in [0, 1] (NaN does not)."""
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 @dataclass
@@ -96,11 +102,17 @@ def default_steps(scheme: str) -> list[dict]:
     raise ValueError(f"unknown scheme: {scheme}")
 
 
+# the keys that set how much a step grows or prunes; a step names at most one
+AMOUNT_KEYS = {
+    "grow_connections": {"fraction_of_possible", "target_fraction_of_possible", "fraction_of_inactive"},
+    "prune_connections": {"threshold", "budget", "budget_key", "keep_fraction", "prune_fraction"},
+}
+
 # the keys each step op reads besides "op"
 STEP_KEYS = {
     "train": {"checkpoint"},
-    "grow_connections": {"kind", "fraction_of_possible", "target_fraction_of_possible", "fraction_of_inactive"},
-    "prune_connections": {"threshold", "budget", "budget_key", "keep_fraction", "prune_fraction"},
+    "grow_connections": {"kind", *AMOUNT_KEYS["grow_connections"]},
+    "prune_connections": AMOUNT_KEYS["prune_connections"],
     "grow_neurons": {"kind", "count", "noise_std", "fresh_connection_fraction", "selection_stat"},
 }
 
@@ -132,10 +144,8 @@ class SchemeConfig:
         _check_count("max_connections", self.max_connections, 0)
         if self.final_connections is not None:
             _check_count("final_connections", self.final_connections, 0)
-        if not (0.0 <= self.init_prune_fraction <= 1.0):
-            raise ValueError(f"init_prune_fraction must be in [0, 1], got {self.init_prune_fraction}")
-        if self.noise_std is not None and not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        _check_fraction("init_prune_fraction", self.init_prune_fraction)
+        NeuronGrowthPolicy("division_activation", noise_std=self.noise_std)
         if isinstance(self.optimizer, dict):
             self.optimizer = OptimizerConfig(**self.optimizer)
         if self.final_connections is not None and self.final_connections > self.max_connections:
@@ -150,7 +160,8 @@ class SchemeConfig:
 
     def _check_step(self, i: int, step) -> None:
         """Raise ValueError unless `step` is a dict of a known op and kind,
-        with only keys that op reads and, for a prune, a target."""
+        with only keys that op reads, at most one amount (a prune needs one)
+        and values the step's policy accepts."""
         if not isinstance(step, dict):
             raise ValueError(f"step {i} must be a dict, got {step!r}")
         op = step.get("op")
@@ -159,17 +170,23 @@ class SchemeConfig:
         unknown = sorted(set(step) - STEP_KEYS[op] - {"op"})
         if unknown:
             raise ValueError(f"step {i} ({op}): keys {unknown} are not read by this op")
-        if "kind" in step:
-            kinds = archops.GROWTH_KINDS if op == "grow_connections" else archops.NEURON_GROWTH_KINDS
-            if step["kind"] not in kinds:
-                raise ValueError(f"step {i} ({op}): unknown kind {step['kind']!r}")
-        if op == "prune_connections" and not step.keys() & STEP_KEYS[op]:
+        amounts = sorted(step.keys() & AMOUNT_KEYS.get(op, set()))
+        if len(amounts) > 1:
+            raise ValueError(f"step {i} ({op}): name only one of {amounts}")
+        if op == "prune_connections" and not amounts:
             raise ValueError(f"step {i}: a prune step needs one of {sorted(STEP_KEYS[op])}")
-        if "budget_key" in step:
-            key = step["budget_key"]
-            value = getattr(self, key) if key in [f.name for f in fields(self)] else None
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"step {i}: budget_key {key!r} names no integer field")
+        try:
+            if op == "grow_connections":
+                GrowthPolicy(step.get("kind", "full"), amount=1.0)
+                if amounts:
+                    GrowthPolicy("random", amount=step[amounts[0]])
+            elif op == "grow_neurons":
+                _check_count("count", step.get("count", 1), 0)
+                _neuron_policy(step, self)
+            elif op == "prune_connections":
+                _prune_policy(step, self, active=0)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"step {i} ({op}): {exc}") from None
 
     def resolved_steps(self) -> list[dict]:
         return self.steps if self.steps is not None else default_steps(self.scheme)
@@ -420,36 +437,40 @@ def _apply_growth_step(net, step, cfg, rng, batch):
     archops.grow_connections(net, policy, rng, max_new=n_add)
 
 
-def _apply_prune_step(net, step, cfg):
+def _prune_policy(step, cfg, active: int) -> PrunePolicy:
+    """The policy of a prune step on a network of `active` connections."""
     if "threshold" in step:
-        policy = PrunePolicy(threshold=step["threshold"])
-    else:
-        active = int(net.mask.sum())
-        if "budget" in step:
-            budget = step["budget"]
-        elif "budget_key" in step:
-            budget = getattr(cfg, step["budget_key"])
-        elif "keep_fraction" in step:
-            budget = int(math.floor(step["keep_fraction"] * active + 0.5))
-        else:  # SchemeConfig checks that a prune step has a target
-            budget = int(math.floor((1.0 - step["prune_fraction"]) * active + 0.5))
-        policy = PrunePolicy(budget=budget)
-    archops.prune_connections(net, policy)
+        return PrunePolicy(threshold=step["threshold"])
+    if "budget" in step:
+        budget = step["budget"]
+    elif "budget_key" in step:
+        budget = getattr(cfg, step["budget_key"], None)
+    elif "keep_fraction" in step:
+        _check_fraction("keep_fraction", step["keep_fraction"])
+        budget = int(math.floor(step["keep_fraction"] * active + 0.5))
+    else:  # SchemeConfig checks that a prune step has a target
+        _check_fraction("prune_fraction", step["prune_fraction"])
+        budget = int(math.floor((1.0 - step["prune_fraction"]) * active + 0.5))
+    _check_count("budget", budget, 0)
+    return PrunePolicy(budget=budget)
+
+
+def _neuron_policy(step, cfg, batch=None) -> NeuronGrowthPolicy:
+    return NeuronGrowthPolicy(
+        step.get("kind", "division_activation"),
+        noise_std=step.get("noise_std", cfg.noise_std),
+        fresh_connection_fraction=step.get("fresh_connection_fraction", 0.5),
+        data_batch=batch,
+        selection_stat=step.get("selection_stat", "mean"),
+    )
 
 
 def _apply_neuron_step(net, step, cfg, rng, batch):
-    count = int(step.get("count", 1))
-    for _ in range(count):
+    for _ in range(step.get("count", 1)):
         if net.n_hidden >= cfg.max_neurons:
             log.info("neuron growth: at max_neurons, skipping")
             return
-        policy = NeuronGrowthPolicy(
-            step.get("kind", "division_activation"),
-            noise_std=step.get("noise_std", cfg.noise_std),
-            fresh_connection_fraction=step.get("fresh_connection_fraction", 0.5),
-            data_batch=batch,
-            selection_stat=step.get("selection_stat", "mean"),
-        )
+        policy = _neuron_policy(step, cfg, batch)
         budget_left = cfg.max_connections - int(net.mask.sum())
         try:
             archops.grow_neuron(net, policy, rng, max_new_connections=budget_left)
@@ -541,7 +562,7 @@ def run_scheme(
                 batch = _sample_batch(data, cfg.optimizer, rng) if step.get("kind") == "gradient" else None
                 _apply_growth_step(net, step, cfg, rng, batch)
             elif op == "prune_connections":
-                _apply_prune_step(net, step, cfg)
+                archops.prune_connections(net, _prune_policy(step, cfg, int(net.mask.sum())))
             else:  # grow_neurons, the last op SchemeConfig accepts
                 batch = _sample_batch(data, cfg.optimizer, rng)
                 _apply_neuron_step(net, step, cfg, rng, batch)

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 
 import growprune
-from growprune.cli import _load_features_csv, main
-from growprune.data import load_dataset
-from growprune.network import checkpoint_dict, from_mlp, load_checkpoint
+from growprune.cli import main
+from growprune.data import load_dataset, load_features_csv
+from growprune.network import checkpoint_dict, depth, from_mlp, load_checkpoint
 from growprune.numerics import make_rng
 from growprune.pipeline import load_bundle, make_bundle
-from growprune.schemes import run_scheme
+from growprune.schemes import TrainingDiverged, run_scheme
 
 
 def toy_manifest(out, seeds=1, scheme="C"):
@@ -187,6 +188,11 @@ BAD_NPZ = {
     "normalization_list": set_meta(normalization=[0.0, 1.0]),
     "normalization_short": set_meta(normalization={"min": [0.0], "scale": [1.0]}),
     "normalization_not_finite": set_meta(normalization={"min": [0.0, float("nan")], "scale": [1.0, 1.0]}),
+    "nan_feature": lambda d: d["features"].__setitem__((3, 1), np.nan),
+    "inf_feature": lambda d: d["features"].__setitem__((0, 0), -np.inf),
+    "bool_features": lambda d: d.__setitem__("features", d["features"] > 5),
+    "complex_features": lambda d: d.__setitem__("features", d["features"] + 0j),
+    "str_features": lambda d: d.__setitem__("features", d["features"].astype(str)),
 }
 
 
@@ -203,6 +209,53 @@ def test_bad_npz_dataset_is_data_error(tmp_path, tamper, capsys):
     assert main(["prep", "--manifest", m, "--data", str(path)]) == 3
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "o" / "dataset.npz").exists()
+
+
+def test_synth_on_npz_with_a_nan_feature_is_data_error(tmp_path, capsys):
+    path = tmp_path / "d.npz"
+    members = small_npz_members()
+    members["features"][2, 0] = np.nan
+    np.savez(path, **members)
+    out = tmp_path / "o"
+    assert main(["synth", "--manifest", write_manifest(tmp_path, toy_manifest(out)), "--data", str(path)]) == 3
+    assert "features row 2: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def write_idx(path, array, magic):
+    dims = struct.pack(f">{array.ndim}i", *array.shape)
+    path.write_bytes(struct.pack(">i", magic) + dims + array.astype(np.uint8).tobytes())
+
+
+IDX_FILES = {
+    "images": "train-images",
+    "labels": "train-labels",
+    "test_images": "test-images",
+    "test_labels": "test-labels",
+}
+
+
+def idx_manifest(tmp_path, train_labels, test_labels):
+    for name, labels in (("train", train_labels), ("test", test_labels)):
+        labels = np.asarray(labels)
+        images = np.repeat(labels * 80, 4).reshape(-1, 2, 2)
+        write_idx(tmp_path / f"{name}-images", images, 0x803)
+        write_idx(tmp_path / f"{name}-labels", labels, 0x801)
+    dataset = {"format": "idx", **{k: str(tmp_path / v) for k, v in IDX_FILES.items()}}
+    return write_manifest(tmp_path, {"dataset": dataset, "out": str(tmp_path / "o")})
+
+
+def test_merged_idx_test_labels_go_through_the_training_label_map(tmp_path):
+    assert main(["prep", "--manifest", idx_manifest(tmp_path, [0, 1, 2] * 6, [1, 2, 2, 1])]) == 0
+    ds = load_dataset(tmp_path / "o" / "dataset.npz")
+    assert ds.label_map == {"0": 0, "1": 1, "2": 2}
+    assert ds.labels[ds.splits["test"]].tolist() == [1, 2, 2, 1]
+
+
+def test_merged_idx_test_label_unknown_to_training_is_data_error(tmp_path, capsys):
+    assert main(["prep", "--manifest", idx_manifest(tmp_path, [0, 1, 2] * 6, [1, 3, 2])]) == 3
+    assert "test labels ['3']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_small_npz_dataset_preps(tmp_path):
@@ -479,11 +532,11 @@ def test_features_csv_parse_matches_python_floats(tmp_path):
     feats = tmp_path / "rows.csv"
     feats.write_text("\r\n".join(lines) + "\n")
     want = np.array([[float(c) for c in ln.split(",")] for ln in lines])
-    got = _load_features_csv(feats)
+    got = load_features_csv(feats)
     assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
     # spellings only float() accepts, and a multi-character delimiter
     feats.write_text("1_0;;2\n\u0663;;4\n")
-    assert np.array_equal(_load_features_csv(feats, ";;"), [[10.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(load_features_csv(feats, ";;"), [[10.0, 2.0], [3.0, 4.0]])
 
 
 INTEGER_TEXTS = {
@@ -501,7 +554,7 @@ def test_features_csv_integer_parse_matches_python_floats(tmp_path, text):
     feats = tmp_path / "rows.csv"
     feats.write_bytes(text.encode())
     want = np.array([[float(c) for c in ln.split(",")] for ln in text.splitlines() if ln.strip()])
-    got = _load_features_csv(feats)
+    got = load_features_csv(feats)
     assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -521,7 +574,7 @@ def test_integer_reader_rejects_what_older_numpy_truncates(tmp_path, monkeypatch
     monkeypatch.setattr(np, "loadtxt", old_loadtxt)
     feats = tmp_path / "rows.csv"
     feats.write_text("1,2\n3,1.5\n")
-    assert _load_features_csv(feats).tolist() == [[1.0, 2.0], [3.0, 1.5]]
+    assert load_features_csv(feats).tolist() == [[1.0, 2.0], [3.0, 1.5]]
 
 
 def with_step(step):
@@ -568,6 +621,18 @@ MANIFEST_ERRORS = {
     "step_no_prune_target": ("synth", with_step({"op": "prune_connections"}), []),
     "step_budget_key_not_int": ("synth", with_step({"op": "prune_connections", "budget_key": "noise_std"}), []),
     "step_not_a_dict": ("synth", with_step("train"), []),
+    "step_negative_noise": ("synth", with_step({"op": "grow_neurons", "noise_std": -1}), []),
+    "step_negative_budget": ("synth", with_step({"op": "prune_connections", "budget": -3}), []),
+    "step_fractional_budget": ("synth", with_step({"op": "prune_connections", "budget": 2.5}), []),
+    "step_keep_fraction_over_1": ("synth", with_step({"op": "prune_connections", "keep_fraction": 1.5}), []),
+    "step_negative_growth_fraction": (
+        "synth", with_step({"op": "grow_connections", "kind": "random", "fraction_of_possible": -0.5}), []
+    ),
+    "step_fractional_count": ("synth", with_step({"op": "grow_neurons", "count": 2.7}), []),
+    "step_threshold_and_budget": ("synth", with_step({"op": "prune_connections", "threshold": 0.1, "budget": 5}), []),
+    "step_two_growth_amounts": (
+        "synth", with_step({"op": "grow_connections", "fraction_of_possible": 0.5, "fraction_of_inactive": 0.5}), []
+    ),
 }
 
 
@@ -579,6 +644,29 @@ def test_manifest_errors_are_usage_errors_before_any_output(tmp_path, capsys, co
     assert main([command, "--manifest", write_manifest(tmp_path, manifest), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_synth_depth_describes_the_returned_network(tmp_path, monkeypatch):
+    # the third training call (iteration 1, after its checkpoint) diverges, so
+    # iteration 1's history row describes the network restored from its start
+    real = growprune.schemes.train_weights
+    calls = []
+
+    def diverge_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise TrainingDiverged("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("growprune.schemes.train_weights", diverge_third)
+    out = tmp_path / "o"
+    manifest = toy_manifest(out, scheme="B")
+    manifest["scheme"].update(final_connections=10, max_iterations=1)
+    assert main(["synth", "--manifest", write_manifest(tmp_path, manifest)]) == 0
+    entry = json.loads((out / "metrics.json").read_text())["per_seed"][0]
+    net, _ = load_checkpoint(out / "seed_0" / "checkpoint.json")
+    assert entry["diverged_iterations"] == 1
+    assert entry["depth"] == depth(net)
 
 
 def test_report_single_run_idempotent(tmp_path):

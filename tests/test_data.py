@@ -66,6 +66,57 @@ def test_load_csv_malformed_row_names_row(tmp_path):
         load_csv(p)
 
 
+LOAD_CSV_TEXTS = {
+    "integers": "7,5,0,a\n12,+0,255,b\n",
+    "negative_zero": "0,-0,3,a\n-5,6,-0,b\n",
+    "beyond_int64": "9223372036854775808,1,2,a\n99999999999999999999,3,9007199254740993,b\n",
+    "padded_crlf": " 1.5 , 2 ,a\r\n3 ,\t4e-3,b\r\n",
+    "underscore_digits": "1_0,2,a\n3,4_5,b\n",
+}
+
+
+@pytest.mark.parametrize("text", LOAD_CSV_TEXTS.values(), ids=LOAD_CSV_TEXTS.keys())
+def test_load_csv_features_match_python_floats(tmp_path, text):
+    p = tmp_path / "t.csv"
+    p.write_bytes(text.encode())
+    want = np.array([[float(c) for c in ln.split(",")[:-1]] for ln in text.splitlines()])
+    got = load_csv(p).features
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_load_csv_wide_exponent_floats_match_python_floats(tmp_path):
+    rng = make_rng(7)
+    vals = rng.normal(scale=10.0 ** rng.integers(-30, 30, size=(40, 5)))
+    lines = [f"c{i % 3}," + ",".join(repr(float(v)) for v in row) for i, row in enumerate(vals)]
+    p = tmp_path / "t.csv"
+    p.write_text("\n".join(lines) + "\n")
+    got = load_csv(p, CsvSchema(label_column=0)).features
+    assert np.array_equal(got.view(np.int64), vals.view(np.int64))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_load_csv_rejects_non_finite_values_naming_the_row(tmp_path, cell):
+    p = tmp_path / "t.csv"
+    p.write_text(f"1,2,a\n3,{cell},b\n")
+    with pytest.raises(DataError, match="row 1: non-finite value"):
+        load_csv(p)
+
+
+def test_load_csv_empty_feature_names_the_row(tmp_path):
+    # numpy's reader skips an empty line, which would shift every later row
+    p = tmp_path / "t.csv"
+    p.write_text("1,a\n,b\n2,a\n")
+    with pytest.raises(DataError, match="row 1, column 0"):
+        load_csv(p)
+
+
+def test_load_csv_needs_a_feature_column(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a\nb\n")
+    with pytest.raises(DataError, match="row 0 has 1 cells"):
+        load_csv(p)
+
+
 def test_load_csv_ragged_row(tmp_path):
     p = tmp_path / "ragged.csv"
     with open(p, "w") as f:
@@ -206,6 +257,24 @@ def test_validate_names_the_label_range():
     ds.validate()
     ds.labels[ds.splits["val"][0]] = 2
     with pytest.raises(DataError, match=r"labels must lie in \[0, 2\) for 2 classes, found 0\.\.2"):
+        ds.validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_features(bad):
+    rng = make_rng(12)
+    ds = split(make_moons(40, 0.1, rng), (0.7, 0.15), rng)
+    ds.features[7, 1] = bad
+    with pytest.raises(DataError, match="features row 7: non-finite value"):
+        ds.validate()
+
+
+@pytest.mark.parametrize("dtype", [bool, complex, str, object])
+def test_validate_rejects_features_that_are_not_real_numbers(dtype):
+    rng = make_rng(12)
+    ds = split(make_moons(40, 0.1, rng), (0.7, 0.15), rng)
+    ds.features = ds.features.astype(dtype)
+    with pytest.raises(DataError, match="real numbers"):
         ds.validate()
 
 

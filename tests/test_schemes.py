@@ -612,6 +612,31 @@ def test_scheme_config_rejects_bad_values(field, value):
         SchemeConfig(**{"scheme": "C", "layer_sizes": [2, 3, 2], "final_connections": 4, field: value})
 
 
+@pytest.mark.parametrize(
+    "step, match",
+    [
+        ({"op": "grow_neurons", "noise_std": -1}, "noise_std"),
+        ({"op": "grow_neurons", "noise_std": float("nan")}, "noise_std"),
+        ({"op": "grow_neurons", "fresh_connection_fraction": 0}, "fresh_connection_fraction"),
+        ({"op": "grow_neurons", "selection_stat": "median"}, "selection_stat"),
+        ({"op": "grow_neurons", "count": 2.7}, "count"),
+        ({"op": "prune_connections", "budget": -3}, "budget"),
+        ({"op": "prune_connections", "budget": 2.5}, "budget"),
+        ({"op": "prune_connections", "threshold": -0.1}, "threshold"),
+        ({"op": "prune_connections", "threshold": float("nan")}, "threshold"),
+        ({"op": "prune_connections", "keep_fraction": 1.5}, "keep_fraction"),
+        ({"op": "prune_connections", "prune_fraction": -0.25}, "prune_fraction"),
+        ({"op": "prune_connections", "threshold": 0.1, "budget": 5}, "only one"),
+        ({"op": "grow_connections", "fraction_of_possible": -0.5}, "amount"),
+        ({"op": "grow_connections", "target_fraction_of_possible": 1.5}, "amount"),
+        ({"op": "grow_connections", "fraction_of_possible": 0.5, "fraction_of_inactive": 0.5}, "only one"),
+    ],
+)
+def test_scheme_config_rejects_bad_step_values(step, match):
+    with pytest.raises(ValueError, match=match):
+        SchemeConfig(scheme="C", layer_sizes=[2, 3, 2], final_connections=4, steps=[step, {"op": "train"}])
+
+
 def test_scheme_config_accepts_numpy_integers():
     cfg = SchemeConfig(scheme="C", layer_sizes=[2, 3, 2], final_connections=np.int64(4), max_iterations=np.int64(2))
     assert cfg.final_connections == 4
