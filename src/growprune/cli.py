@@ -111,10 +111,10 @@ def dataset_from_manifest(spec: dict) -> Dataset:
     if fmt == "csv":
         if "path" not in spec:
             raise ManifestError("dataset.path is required for csv datasets")
-        schema = CsvSchema(
-            label_column=spec.get("label_column", -1),
-            delimiter=spec.get("delimiter", ","),
-            header=spec.get("header", False),
+        schema = _config(
+            CsvSchema,
+            {key: spec[key] for key in ("label_column", "delimiter", "header") if key in spec},
+            "dataset",
         )
         ds = load_csv(spec["path"], schema)
         return _apply_split(ds, spec)
@@ -122,6 +122,9 @@ def dataset_from_manifest(spec: dict) -> Dataset:
         for key in ("images", "labels"):
             if key not in spec:
                 raise ManifestError(f"dataset.{key} is required for idx datasets")
+        val_fraction = spec.get("val_fraction", 1 / 6)
+        if type(val_fraction) not in (int, float) or not 0 <= val_fraction < 1:
+            raise ManifestError(f"dataset.val_fraction must be a number in [0, 1), got {val_fraction!r}")
         ds = load_idx(spec["images"], spec["labels"])
         if "test_images" in spec:
             test = load_idx(spec["test_images"], spec["test_labels"])
@@ -218,6 +221,14 @@ def _resolve_workers(args) -> int:
     if getattr(args, "workers", None):
         return args.workers
     return int(os.environ.get(WORKERS_ENV, "1"))
+
+
+def _delimiter(value: str) -> str:
+    """An `infer --delimiter` value, checked as a CSV dataset's delimiter is."""
+    try:
+        return CsvSchema(delimiter=value).delimiter
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _fmt_energy(e: float) -> float:
@@ -354,6 +365,8 @@ def cmd_synth(args) -> int:
                 "best_iteration": res.best_iteration,
                 "diverged_iterations": res.diverged_iterations,
             }
+            if res.notes:
+                entry["notes"] = res.notes
             if baseline_declared:
                 entry["compression_ratio"] = baseline_declared / max(1, entry["connections"])
             per_seed.append(entry)
@@ -622,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("infer", help="predict labels with a saved bundle")
     sp.add_argument("--bundle", required=True, help="bundle.json from synth/sweep")
     sp.add_argument("--features", required=True, help="numeric CSV of feature rows")
-    sp.add_argument("--delimiter", default=",")
+    sp.add_argument("--delimiter", default=",", type=_delimiter)
     sp.add_argument("--out", default=None, help="predictions output file")
     sp.set_defaults(func=cmd_infer)
 

@@ -7,12 +7,16 @@ labels, and disjoint train/validation/test index sets covering every row.
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import struct
-import warnings
 import zipfile
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +30,14 @@ class CsvSchema:
     label_column: int | str = -1
     delimiter: str = ","
     header: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.delimiter, str) or not self.delimiter:
+            raise ValueError(f"delimiter must be a non-empty string, got {self.delimiter!r}")
+        if type(self.label_column) is not int and not isinstance(self.label_column, str):
+            raise ValueError(f"label_column must be an integer or a column name, got {self.label_column!r}")
+        if type(self.header) is not bool:
+            raise ValueError(f"header must be true or false, got {self.header!r}")
 
 
 @dataclass
@@ -104,20 +116,14 @@ def _check_finite(features: np.ndarray) -> None:
         raise DataError(f"features row {int(np.argmin(finite.all(axis=1)))}: non-finite value")
 
 
-def _loadtxt(lines: list[str], delimiter: str, dtype) -> np.ndarray | None:
-    """`lines` read by numpy as `dtype`, cast to float64; None where numpy
-    fails or drops a line (it skips empty ones). Integer text (raw pixels)
-    parses ~1.7x faster as int64 than as float64, and the cast is exact:
-    int64 -> float64 rounds to nearest-even, as float() does."""
-    with warnings.catch_warnings():
-        # older numpy reads '1.5' for an integer dtype through float and
-        # truncates it, with only a DeprecationWarning
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            x = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, ndmin=2, comments=None)
-        except (ValueError, TypeError, OverflowError, DeprecationWarning):
-            return None
-    return x.astype(np.float64, copy=False) if len(x) == len(lines) else None
+def _loadtxt(lines: list[str], delimiter: str) -> np.ndarray | None:
+    """`lines` read by numpy's float64 reader; None where numpy fails or
+    drops a line (it skips empty ones)."""
+    try:
+        x = np.loadtxt(lines, dtype=np.float64, delimiter=delimiter, ndmin=2, comments=None)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return x if len(x) == len(lines) else None
 
 
 def _float_rows(lines: list[str], delimiter: str) -> np.ndarray:
@@ -135,14 +141,100 @@ def _float_rows(lines: list[str], delimiter: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def _parse_rows(lines: list[str], delimiter: str, integers: bool) -> np.ndarray:
-    """The numeric reader both loaders share: `lines` of `delimiter`-separated
-    numbers as a float64 matrix whose bits equal float() of each field; a
-    malformed, ragged or non-finite row is a DataError naming it. Text with a
-    '-' must pass integers=False, so that '-0' keeps its sign."""
-    x = _loadtxt(lines, delimiter, np.int64) if integers else None
-    if x is None:
-        x = _loadtxt(lines, delimiter, np.float64)
+_BLOCK_BYTES = 1 << 21  # text per task of the digit-row reader
+_DIGIT_LIMIT = 10**18  # strtoll clamps larger values to 2**63 - 1 without a word
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _digit_block_rows(block: np.ndarray, sep: int, ncols: int) -> int | None:
+    """The row count of `block`, the bytes of whole rows joined by newlines,
+    if each row holds `ncols` non-empty fields of ASCII digits between `sep`
+    bytes; None otherwise."""
+    if not block.size:
+        return None
+    nondigit = (block - np.uint8(48)) > 9  # bytes below '0' wrap around
+    seps, newlines = np.flatnonzero(block == sep), np.flatnonzero(block == 10)
+    rows = len(newlines) + 1
+    if (
+        nondigit[0]
+        or nondigit[-1]
+        or np.count_nonzero(nondigit) != len(seps) + len(newlines)  # a byte of another kind
+        or (nondigit[1:] & nondigit[:-1]).any()  # an empty field or a blank line
+        or len(seps) != rows * (ncols - 1)
+        or not np.array_equal(np.searchsorted(seps, newlines), (ncols - 1) * np.arange(1, rows))
+    ):
+        return None
+    return rows
+
+
+def _parse_digit_block(block: np.ndarray, out: np.ndarray, delimiter: str) -> bool:
+    """Parse a block `_digit_block_rows` accepted into `out`, its rows of the
+    result; False if numpy reads other than out.size values or one reaches
+    `_DIGIT_LIMIT`."""
+    text = block.tobytes().replace(b"\n", delimiter.encode())
+    try:
+        # numpy releases the GIL while it parses; numpy 1.x stops at the
+        # first field it cannot read and returns the values before it with
+        # a DeprecationWarning, which a warnings filter may raise
+        values = np.fromstring(text, np.int64, sep=delimiter)
+    except (ValueError, DeprecationWarning):
+        return False
+    if values.size != out.size or values.max() >= _DIGIT_LIMIT:
+        return False
+    out[...] = values.reshape(out.shape)  # int64 -> float64 rounds to nearest-even, as float() does
+    return True
+
+
+def _digit_rows(data: bytes, delimiter: str) -> np.ndarray | None:
+    """`data` as a float64 matrix if it holds only rows of non-negative
+    decimal integers below 10**18, fields split by a one-byte `delimiter`
+    and rows by newlines (the last one optional), every row as wide as the
+    first; None for any other text. The text is cut at row ends into blocks
+    of about _BLOCK_BYTES that a thread per usable CPU checks and parses;
+    the first block is checked alone first, so other text costs one block."""
+    if len(delimiter) != 1 or delimiter.isdigit() or not (delimiter == "\t" or " " <= delimiter <= "~"):
+        return None
+    end = len(data) - data.endswith(b"\n")
+    first_end = data.find(b"\n", 0, end)
+    ncols = data.count(delimiter.encode(), 0, end if first_end < 0 else first_end) + 1
+    blocks, start = [], 0
+    view = np.frombuffer(data, np.uint8)
+    while True:
+        stop = data.find(b"\n", start + _BLOCK_BYTES, end)
+        blocks.append(view[start : end if stop < 0 else stop])
+        if stop < 0:
+            break
+        start = stop + 1
+    check = partial(_digit_block_rows, sep=ord(delimiter), ncols=ncols)
+    rows = [check(blocks[0])]
+    if rows[0] is None:
+        return None
+    workers = min(_usable_cpus(), len(blocks))
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        each = pool.map if pool else map
+        rows += each(check, blocks[1:])
+        if None in rows:
+            return None
+        x = np.empty((sum(rows), ncols))
+        bounds = np.cumsum([0, *rows]).tolist()
+        parts = [x[a:b] for a, b in zip(bounds, bounds[1:])]
+        if not all(list(each(partial(_parse_digit_block, delimiter=delimiter), blocks, parts))):
+            return None
+    return x
+
+
+def _parse_rows(lines: list[str], delimiter: str) -> np.ndarray:
+    """The text reader behind the digit-row reader of both loaders: `lines`
+    of `delimiter`-separated numbers as a float64 matrix whose bits equal
+    float() of each field; a malformed, ragged or non-finite row is a
+    DataError naming it."""
+    x = _loadtxt(lines, delimiter)
     if x is None:
         x = _float_rows(lines, delimiter)
     _check_finite(x)
@@ -153,14 +245,22 @@ def load_features_csv(path, delimiter: str = ",") -> np.ndarray:
     """Feature rows, one per non-blank line, as a float64 matrix (0 x 0 for
     a file without rows)."""
     try:
-        with open(path) as f:
-            text = f.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as exc:
         raise DataError(f"cannot read features file {path}: {exc}") from exc
+    x = _digit_rows(data, delimiter)
+    if x is not None:
+        return x
+    try:  # decoded as open(path) in text mode does
+        with io.TextIOWrapper(io.BytesIO(data)) as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read features file {path}: {exc}") from exc
+    del data  # at most two copies of the file are alive at once
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        return np.zeros((0, 0))
-    return _parse_rows(lines, delimiter, integers="-" not in text)
+    del text
+    return _parse_rows(lines, delimiter) if lines else np.zeros((0, 0))
 
 
 def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
@@ -199,7 +299,10 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
             raise DataError(f"row {rownum}: expected {ncols} cells, got {len(cells)}")
         raw_labels.append(cells.pop(label_idx).strip())
         rows.append(delimiter.join(cells))
-    features = _parse_rows(rows, delimiter, integers=not any("-" in r for r in rows))
+    # a newline after every row, so that an empty last row is not dropped
+    features = _digit_rows(("\n".join(rows) + "\n").encode("ascii", "replace"), delimiter)
+    if features is None:
+        features = _parse_rows(rows, delimiter)
     labels, label_map = _dense_labels(raw_labels)
     return _unsplit(features, labels, label_map, {"source": str(path), "format": "csv"})
 

@@ -523,6 +523,8 @@ def run_scheme(
     def consider(iteration: int) -> HistoryRow:
         acc = accuracy(net, x_val, y_val)
         row = HistoryRow(iteration, acc, connection_count(net), net.n_hidden, _safe_depth(net))
+        if not row.depth:  # every active path has at least one edge
+            notes.append(f"iteration {iteration}: no active path from any input to any output")
         return row
 
     if initial_train:

@@ -11,7 +11,7 @@ import pytest
 
 import growprune
 from growprune.cli import main
-from growprune.data import load_dataset, load_features_csv
+from growprune.data import DataError, load_dataset, load_features_csv
 from growprune.network import checkpoint_dict, depth, from_mlp, load_checkpoint
 from growprune.numerics import make_rng
 from growprune.pipeline import load_bundle, make_bundle
@@ -546,39 +546,127 @@ INTEGER_TEXTS = {
     "beyond_int64": "9223372036854775807,1,2\n9223372036854775808,99999999999999999999,3\n",
     "float_in_last_row": "1,2,3\n4,5,6\n7,8,1.5\n",
     "whitespace_lines": "1,2,3\n \t\n\n4,5,6\n   \n",
+    "digits": "007,0,255\n999999999999999999,18014398509481987,9007199254740993",
+    "one_column": "3\n1000000000000000000\n",
 }
+
+
+def python_floats(text, delimiter=","):
+    return np.array([[float(c) for c in ln.split(delimiter)] for ln in text.splitlines() if ln.strip()])
 
 
 @pytest.mark.parametrize("text", INTEGER_TEXTS.values(), ids=INTEGER_TEXTS.keys())
 def test_features_csv_integer_parse_matches_python_floats(tmp_path, text):
     feats = tmp_path / "rows.csv"
     feats.write_bytes(text.encode())
-    want = np.array([[float(c) for c in ln.split(",")] for ln in text.splitlines() if ln.strip()])
     got = load_features_csv(feats)
-    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), python_floats(text).view(np.int64))
 
 
-def test_integer_reader_rejects_what_older_numpy_truncates(tmp_path, monkeypatch):
-    # numpy before 2.x parses '1.5' for an integer dtype through float and
-    # truncates it, with only a DeprecationWarning
-    loadtxt = np.loadtxt
+def integer_rows(rng, n_rows, n_cols):
+    """Integer CSV rows of 1 to 18 digits, many beyond 2**53."""
+    vals = rng.integers(0, 10 ** rng.integers(1, 19, size=(n_rows, n_cols)), dtype=np.int64)
+    return "".join(",".join(str(v) for v in row) + "\n" for row in vals.tolist())
 
-    def old_loadtxt(lines, dtype=float, **kw):
-        if dtype is not np.int64:
-            return loadtxt(lines, dtype=dtype, **kw)
-        x = loadtxt(lines, **kw)
-        if (x != np.trunc(x)).any():
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-        return x.astype(np.int64)
 
-    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+@pytest.fixture
+def digit_reader_only(monkeypatch):
+    """Small blocks on four workers, and no text reader behind them."""
+    monkeypatch.setattr(growprune.data, "_BLOCK_BYTES", 256)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+    def refuse(*args):
+        raise AssertionError("the digit-row reader fell back")
+
+    monkeypatch.setattr(growprune.data, "_loadtxt", refuse)
+
+
+def test_digit_reader_blocks_match_python_floats(tmp_path, digit_reader_only):
+    text = integer_rows(make_rng(3), 200, 30)
     feats = tmp_path / "rows.csv"
-    feats.write_text("1,2\n3,1.5\n")
-    assert load_features_csv(feats).tolist() == [[1.0, 2.0], [3.0, 1.5]]
+    feats.write_text(text)
+    assert feats.stat().st_size > 20 * growprune.data._BLOCK_BYTES
+    got = load_features_csv(feats)
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), python_floats(text).view(np.int64))
+
+
+def test_digit_reader_one_worker_runs_without_threads(tmp_path, monkeypatch, digit_reader_only):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(growprune.data, "ThreadPoolExecutor", None)
+    text = integer_rows(make_rng(4), 60, 12)
+    feats = tmp_path / "rows.csv"
+    feats.write_text(text)
+    assert np.array_equal(load_features_csv(feats).view(np.int64), python_floats(text).view(np.int64))
+
+
+def test_digit_reader_takes_one_column_and_other_delimiters(tmp_path, digit_reader_only):
+    feats = tmp_path / "rows.csv"
+    text = integer_rows(make_rng(5), 300, 1)
+    feats.write_text(text)
+    assert np.array_equal(load_features_csv(feats).view(np.int64), python_floats(text).view(np.int64))
+    text = integer_rows(make_rng(6), 40, 9).replace(",", "\t")
+    feats.write_text(text)
+    got = load_features_csv(feats, "\t")
+    assert np.array_equal(got.view(np.int64), python_floats(text, "\t").view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ["\r\n", "\n\n\n", "\n \n"],
+    ids=["crlf", "trailing_blank_lines", "trailing_whitespace_line"],
+)
+def test_digit_reader_leaves_other_line_ends_to_the_text_reader(tmp_path, monkeypatch, tail):
+    monkeypatch.setattr(growprune.data, "_BLOCK_BYTES", 256)
+    text = integer_rows(make_rng(7), 80, 16)
+    text = text.replace("\n", "\r\n") if tail == "\r\n" else text.rstrip("\n") + tail
+    feats = tmp_path / "rows.csv"
+    feats.write_bytes(text.encode())
+    got = load_features_csv(feats)
+    assert got.shape == (80, 16) and np.array_equal(got.view(np.int64), python_floats(text).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["1,2", "1,2\n3,4,5,6", "1,x,3", "nan,2,3", "1,,3"],
+    ids=["ragged", "ragged_pair", "x", "nan", "empty_field"],
+)
+def test_bad_row_in_the_last_block_names_its_global_row(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(growprune.data, "_BLOCK_BYTES", 256)
+    text = integer_rows(make_rng(8), 120, 3) + bad + "\n"
+    feats = tmp_path / "rows.csv"
+    feats.write_text(text)
+    with pytest.raises(DataError, match=r"row 120\b"):
+        load_features_csv(feats)
+
+
+@pytest.mark.parametrize("action", ["ignore", "error"])
+def test_digit_reader_falls_back_on_a_short_fromstring_read(tmp_path, monkeypatch, action):
+    # numpy 1.x fromstring stops at data it cannot read and returns the
+    # values before it, with a DeprecationWarning
+    monkeypatch.setattr(growprune.data, "_BLOCK_BYTES", 256)
+    fromstring = np.fromstring
+
+    def short_fromstring(text, dtype, sep):
+        warnings.warn("string or file could not be read to its end due to unmatched data", DeprecationWarning)
+        return fromstring(text, dtype, sep=sep)[:-1]
+
+    monkeypatch.setattr(np, "fromstring", short_fromstring)
+    text = integer_rows(make_rng(9), 50, 7)
+    feats = tmp_path / "rows.csv"
+    feats.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, DeprecationWarning)
+        got = load_features_csv(feats)
+    assert np.array_equal(got.view(np.int64), python_floats(text).view(np.int64))
 
 
 def with_step(step):
     return lambda m: m["scheme"].update(steps=[step, {"op": "train"}])
+
+
+def with_dataset(spec):
+    # the files need not exist: the values are checked before any is read
+    return lambda m: m.update(dataset=spec)
 
 
 MANIFEST_ERRORS = {
@@ -633,6 +721,16 @@ MANIFEST_ERRORS = {
     "step_two_growth_amounts": (
         "synth", with_step({"op": "grow_connections", "fraction_of_possible": 0.5, "fraction_of_inactive": 0.5}), []
     ),
+    "csv_empty_delimiter": ("prep", with_dataset({"format": "csv", "path": "t.csv", "delimiter": ""}), []),
+    "csv_delimiter_not_string": ("prep", with_dataset({"format": "csv", "path": "t.csv", "delimiter": 44}), []),
+    "csv_float_label_column": ("prep", with_dataset({"format": "csv", "path": "t.csv", "label_column": 2.5}), []),
+    "csv_bool_label_column": ("prep", with_dataset({"format": "csv", "path": "t.csv", "label_column": True}), []),
+    "csv_header_not_bool": ("prep", with_dataset({"format": "csv", "path": "t.csv", "header": "yes"}), []),
+    "idx_val_fraction_over_1": ("prep", with_dataset({"format": "idx", "images": "i", "labels": "l", "val_fraction": 1.5}), []),
+    "idx_val_fraction_1": ("prep", with_dataset({"format": "idx", "images": "i", "labels": "l", "val_fraction": 1}), []),
+    "idx_negative_val_fraction": (
+        "prep", with_dataset({"format": "idx", "images": "i", "labels": "l", "val_fraction": -0.1}), []
+    ),
 }
 
 
@@ -644,6 +742,33 @@ def test_manifest_errors_are_usage_errors_before_any_output(tmp_path, capsys, co
     assert main([command, "--manifest", write_manifest(tmp_path, manifest), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_infer_bad_delimiter_is_usage_error(tmp_path):
+    feats = tmp_path / "rows.csv"
+    feats.write_text("1,2,3\n")
+    argv = ["infer", "--bundle", str(write_bundle(tmp_path)), "--features", str(feats), "--out", str(tmp_path / "p.txt")]
+    assert main([*argv, "--delimiter", ""]) == 2
+    assert not (tmp_path / "p.txt").exists()
+    assert main([*argv, "--delimiter", ","]) == 0
+
+
+def test_synth_notes_a_checkpoint_without_a_path(tmp_path):
+    # un-normalized inputs start with larger weights than the hidden layer,
+    # so the budget prune keeps input edges only and the hidden layer dies
+    out = tmp_path / "o"
+    manifest = {
+        "dataset": {"format": "synthetic", "rows": 1200, "features": 16, "classes": 4, "latent_dim": 3, "data_seed": 3},
+        "normalize": False,
+        "scheme": {"scheme": "C", "layer_sizes": [16, 150, 4], "final_connections": 300, "max_iterations": 2},
+        "seed": 3,
+        "seeds": 1,
+        "out": str(out),
+    }
+    assert main(["synth", "--manifest", write_manifest(tmp_path, manifest)]) == 0
+    entry = json.loads((out / "metrics.json").read_text())["per_seed"][0]
+    assert entry["connections"] == 0
+    assert entry["notes"] == [f"iteration {i}: no active path from any input to any output" for i in (1, 2)]
 
 
 def test_synth_depth_describes_the_returned_network(tmp_path, monkeypatch):

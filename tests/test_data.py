@@ -17,6 +17,7 @@ from growprune.data import (
     split,
     split_from_files,
 )
+from growprune.data import _digit_block_rows
 from growprune.numerics import make_rng
 
 
@@ -68,6 +69,7 @@ def test_load_csv_malformed_row_names_row(tmp_path):
 
 LOAD_CSV_TEXTS = {
     "integers": "7,5,0,a\n12,+0,255,b\n",
+    "digits": "7,5,0,a\n12,0,9007199254740993,b\n",
     "negative_zero": "0,-0,3,a\n-5,6,-0,b\n",
     "beyond_int64": "9223372036854775808,1,2,a\n99999999999999999999,3,9007199254740993,b\n",
     "padded_crlf": " 1.5 , 2 ,a\r\n3 ,\t4e-3,b\r\n",
@@ -108,6 +110,40 @@ def test_load_csv_empty_feature_names_the_row(tmp_path):
     p.write_text("1,a\n,b\n2,a\n")
     with pytest.raises(DataError, match="row 1, column 0"):
         load_csv(p)
+
+
+def test_load_csv_empty_last_feature_names_the_row(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("1,a\n2,b\n,a\n")
+    with pytest.raises(DataError, match="row 2, column 0"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"delimiter": ""}, {"delimiter": None}, {"label_column": 2.5}, {"label_column": False}, {"header": 1}],
+    ids=["empty_delimiter", "delimiter_none", "float_label_column", "bool_label_column", "int_header"],
+)
+def test_csv_schema_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        CsvSchema(**kwargs)
+
+
+# each block breaks one rule of the digit-row reader and passes the others
+DIGIT_BLOCK_REJECTS = {
+    "space_in_field": (b"1 2,3\n4,5", 2),
+    "empty_field": (b"1,,2\n3,4,5", 3),
+    "leading_delimiter": (b",1\n2,3", 2),
+    "trailing_delimiter": (b"1,2\n3,", 2),
+    "ragged_pair": (b"1,2\n3,4,5\n6", 2),
+    "last_row_wider": (b"1,2\n3,4,5", 2),
+}
+
+
+@pytest.mark.parametrize("block, ncols", DIGIT_BLOCK_REJECTS.values(), ids=DIGIT_BLOCK_REJECTS.keys())
+def test_digit_block_check_rejects_each_broken_rule(block, ncols):
+    assert _digit_block_rows(np.frombuffer(block, np.uint8), ord(","), ncols) is None
+    assert _digit_block_rows(np.frombuffer(b"10,2\n3,45\n6,7", np.uint8), ord(","), 2) == 3
 
 
 def test_load_csv_needs_a_feature_column(tmp_path):
