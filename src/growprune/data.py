@@ -289,9 +289,10 @@ def load_csv(path, schema: CsvSchema | None = None) -> Dataset:
             raise DataError(f"label column {schema.label_column!r} not in header")
         label_idx = header_names.index(schema.label_column)
     else:
-        label_idx = schema.label_column % ncols
-    if ncols < 2 or label_idx >= ncols:
+        label_idx = schema.label_column
+    if ncols < 2 or not -ncols <= label_idx < ncols:
         raise DataError(f"row 0 has {ncols} cells, too few for label column {schema.label_column!r} and a feature")
+    label_idx %= ncols
     rows, raw_labels = [], []
     for rownum, line in enumerate(lines):
         cells = line.split(delimiter)

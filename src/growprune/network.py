@@ -546,12 +546,15 @@ def prune_isolated_neurons(net: Network) -> Network:
     neighbour on it at both ends, and following live in-neighbours (or
     out-neighbours) from a survivor must end at an input (or an output).
     Indices are compacted and the ordering of survivors preserved. Input and
-    output neurons are never removed.
+    output neurons are never removed. When every neuron stays, the network's
+    arrays are left as they are.
     """
     alive = _path_flags(net)
     alive[: net.n_in] = True
     alive[net.hidden_end :] = True
     keep = np.flatnonzero(alive)
+    if keep.size == net.n:  # nothing to compact
+        return net
     net.mask = net.mask[np.ix_(keep, keep)]
     net.weights = net.weights[np.ix_(keep, keep)]
     net.bias = net.bias[keep[keep >= net.n_in] - net.n_in]

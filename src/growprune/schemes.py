@@ -500,7 +500,16 @@ def run_scheme(
     history_writer: HistoryWriter | None = None,
 ) -> SynthesisResult:
     """Algorithm driver: iterate the configured step sequence, evaluate at the
-    checkpoint step of each iteration, return the validation-best network."""
+    checkpoint step of each iteration, return the validation-best network.
+
+    The final iteration stops at its last checkpoint: the steps after it
+    (B and C regrow and train there) would build a network that is neither
+    returned nor recorded. A step list without a train step has no
+    checkpoint and runs in full. So the final history row describes the
+    final checkpoint, which the run can return, unless a step up to that
+    checkpoint diverged: then, as in every iteration, the network is
+    restored to the iteration's start and the row describes that.
+    """
     rng = rng if rng is not None else make_rng(cfg.seed)
     net = _initial_network(cfg, data, rng)
     x_val, y_val = data.val_xy()
@@ -510,6 +519,8 @@ def run_scheme(
     if not ckpt_positions:
         train_positions = [i for i, s in enumerate(steps) if s.get("op") == "train"]
         ckpt_positions = train_positions[-1:] if train_positions else []
+    # the final iteration ends after this many steps
+    final_steps = ckpt_positions[-1] + 1 if ckpt_positions else len(steps)
     initial_train = cfg.initial_train
     if initial_train is None:
         initial_train = cfg.scheme in ("B", "C")
@@ -541,7 +552,7 @@ def run_scheme(
         snap = net.clone()
         it_diverged = False
         row = None
-        for pos, step in enumerate(steps):
+        for pos, step in enumerate(steps if it < cfg.max_iterations else steps[:final_steps]):
             op = step.get("op")
             if op == "train":
                 try:

@@ -137,6 +137,14 @@ def test_bad_split_files_are_data_errors(tmp_path, train):
     assert not (tmp_path / "o" / "dataset.npz").exists()
 
 
+def test_label_column_outside_the_row_is_data_error(tmp_path):
+    (tmp_path / "d.csv").write_text("1,2,3\n4,5,6\n")
+    manifest = toy_manifest(tmp_path / "o")
+    manifest["dataset"] = {"format": "csv", "path": str(tmp_path / "d.csv"), "label_column": 7}
+    assert main(["synth", "--manifest", write_manifest(tmp_path, manifest)]) == 3
+    assert not (tmp_path / "o" / "metrics.json").exists()
+
+
 def small_npz_members():
     features = np.arange(12, dtype=np.float64).reshape(6, 2)
     meta = {"n_classes": 2, "label_map": {"a": 0, "b": 1}, "provenance": {}, "normalization": None}
@@ -772,8 +780,10 @@ def test_synth_notes_a_checkpoint_without_a_path(tmp_path):
 
 
 def test_synth_depth_describes_the_returned_network(tmp_path, monkeypatch):
-    # the third training call (iteration 1, after its checkpoint) diverges, so
-    # iteration 1's history row describes the network restored from its start
+    # the third training call (iteration 1's regrowth train, after its
+    # checkpoint) diverges, so iteration 1's history row describes the
+    # network restored from its start; the final iteration stops at its
+    # checkpoint, so the regrowth train that still runs is iteration 1's
     real = growprune.schemes.train_weights
     calls = []
 
@@ -786,8 +796,9 @@ def test_synth_depth_describes_the_returned_network(tmp_path, monkeypatch):
     monkeypatch.setattr("growprune.schemes.train_weights", diverge_third)
     out = tmp_path / "o"
     manifest = toy_manifest(out, scheme="B")
-    manifest["scheme"].update(final_connections=10, max_iterations=1)
+    manifest["scheme"].update(final_connections=10, max_iterations=2)
     assert main(["synth", "--manifest", write_manifest(tmp_path, manifest)]) == 0
+    assert len(calls) == 4  # warm-up; iteration 1's checkpoint and regrowth; iteration 2's checkpoint
     entry = json.loads((out / "metrics.json").read_text())["per_seed"][0]
     net, _ = load_checkpoint(out / "seed_0" / "checkpoint.json")
     assert entry["diverged_iterations"] == 1

@@ -129,6 +129,27 @@ def test_csv_schema_rejects_bad_values(kwargs):
         CsvSchema(**kwargs)
 
 
+@pytest.mark.parametrize("label_column", [7, -5, 3])
+def test_load_csv_rejects_a_label_column_outside_the_row(tmp_path, label_column):
+    # an index outside [-3, 3) names no column; it is not wrapped into the row
+    p = tmp_path / "t.csv"
+    p.write_text("1,2,3\n4,5,6\n")
+    with pytest.raises(DataError, match=f"row 0 has 3 cells, too few for label column {label_column} "):
+        load_csv(p, CsvSchema(label_column=label_column))
+
+
+@pytest.mark.parametrize(
+    "label_column, label_map, features",
+    [(2, {"3": 0, "6": 1}, [[1, 2], [4, 5]]), (-3, {"1": 0, "4": 1}, [[2, 3], [5, 6]])],
+)
+def test_load_csv_counts_a_negative_label_column_from_the_end(tmp_path, label_column, label_map, features):
+    p = tmp_path / "t.csv"
+    p.write_text("1,2,3\n4,5,6\n")
+    ds = load_csv(p, CsvSchema(label_column=label_column))
+    assert ds.label_map == label_map
+    assert ds.features.tolist() == features
+
+
 # each block breaks one rule of the digit-row reader and passes the others
 DIGIT_BLOCK_REJECTS = {
     "space_in_field": (b"1 2,3\n4,5", 2),

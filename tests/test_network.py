@@ -460,6 +460,13 @@ def test_prune_isolated_mlp_unchanged(rng):
     assert np.array_equal(net.mask, before)
 
 
+def test_prune_isolated_keeps_the_arrays_when_every_neuron_stays(rng):
+    net = from_mlp([3, 4, 2], rng)
+    arrays = net.mask, net.weights, net.bias, net.layers
+    prune_isolated_neurons(net)
+    assert all(a is b for a, b in zip((net.mask, net.weights, net.bias, net.layers), arrays))
+
+
 def test_prune_isolated_chain_cascades():
     # input 0 -> a(1) -> b(2) -> output 3, then cut b's out-edge
     net = Network(1, 2, 1)

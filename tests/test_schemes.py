@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from growprune import schemes
 from growprune.archops import GrowthPolicy, grow_connections
 from growprune.data import make_blobs, make_moons, split
 from growprune.network import (
@@ -468,6 +469,93 @@ def test_full_run_determinism():
     assert [(h.iteration, h.val_acc, h.connections) for h in r1.history] == [
         (h.iteration, h.val_acc, h.connections) for h in r2.history
     ]
+
+
+def record_ops(monkeypatch, diverge_on_train=None):
+    """Log each step op run_scheme runs, in order; the steps still run.
+    With `diverge_on_train=k`, the k-th train call raises TrainingDiverged
+    instead, and `snaps` holds the network's connection count after each
+    train that ran."""
+    ops, snaps = [], []
+
+    def logged(name, real):
+        def run(*args, **kwargs):
+            ops.append(name)
+            if name == "train" and ops.count("train") == diverge_on_train:
+                raise TrainingDiverged("forced")
+            out = real(*args, **kwargs)
+            if name == "train":
+                snaps.append(connection_count(args[0]))
+            return out
+
+        return run
+
+    monkeypatch.setattr(schemes, "train_weights", logged("train", schemes.train_weights))
+    monkeypatch.setattr(schemes, "_apply_growth_step", logged("grow", schemes._apply_growth_step))
+    monkeypatch.setattr(schemes, "_apply_neuron_step", logged("neurons", schemes._apply_neuron_step))
+    monkeypatch.setattr(schemes.archops, "prune_connections", logged("prune", schemes.archops.prune_connections))
+    return ops, snaps
+
+
+def small_scheme(scheme, max_iterations=2, **kw):
+    return SchemeConfig(
+        scheme=scheme,
+        seed=18,
+        max_iterations=max_iterations,
+        layer_sizes=[3, 10, 3],
+        final_connections=20,
+        max_connections=10000,
+        optimizer=OptimizerConfig(epochs_per_iteration=2),
+        **kw,
+    )
+
+
+@pytest.mark.parametrize("scheme", ["B", "C"])
+def test_final_iteration_stops_at_its_checkpoint(monkeypatch, scheme):
+    ops, _ = record_ops(monkeypatch)
+    res = run_scheme(small_scheme(scheme), blob_dataset(seed=18))
+    # warm-up; iteration 1 in full; iteration 2 up to its checkpoint train
+    assert ops == ["train", "prune", "train", "grow", "train", "prune", "train"]
+    assert [r.iteration for r in res.history] == [1, 2]
+    assert res.diverged_iterations == 0
+
+
+def test_scheme_a_runs_every_step_of_the_final_iteration(monkeypatch):
+    ops, _ = record_ops(monkeypatch)
+    run_scheme(small_scheme("A"), blob_dataset(seed=18))
+    # scheme A checkpoints its last step, so nothing is skipped
+    assert ops == ["neurons", "grow", "train", "prune", "train"] * 2
+
+
+def test_final_iteration_stops_at_the_last_train_without_a_checkpoint_flag(monkeypatch):
+    ops, _ = record_ops(monkeypatch)
+    steps = [{"op": "train"}, {"op": "prune_connections", "prune_fraction": 0.1}]
+    res = run_scheme(small_scheme("C", max_iterations=3, steps=steps), blob_dataset(seed=18))
+    assert ops == ["train"] + ["train", "prune"] * 2 + ["train"]
+    assert len(res.history) == 3
+
+
+def test_a_step_list_without_train_runs_in_full(monkeypatch):
+    ops, _ = record_ops(monkeypatch)
+    steps = [{"op": "grow_connections", "kind": "full"}, {"op": "prune_connections", "prune_fraction": 0.1}]
+    cfg = small_scheme("C", steps=steps, initial_train=False)
+    res = run_scheme(cfg, blob_dataset(seed=18))
+    assert ops == ["grow", "prune"] * 2
+    assert len(res.history) == 2
+
+
+def test_divergence_at_the_final_checkpoint_restores_the_snapshot(monkeypatch):
+    # the 4th train is iteration 2's checkpoint train: warm-up, checkpoint,
+    # regrowth, checkpoint
+    ops, snaps = record_ops(monkeypatch, diverge_on_train=4)
+    res = run_scheme(small_scheme("B"), blob_dataset(seed=18))
+    assert ops == ["train", "prune", "train", "grow", "train", "prune", "train"]
+    assert res.diverged_iterations == 1
+    assert any(n.startswith("iteration 2 diverged") for n in res.notes)
+    # iteration 2's row describes the network at its start, after the
+    # regrowth train of iteration 1
+    assert res.history[-1].connections == snaps[-1]
+    assert res.best_iteration == 1
 
 
 def test_best_checkpoint_is_max_over_history():
