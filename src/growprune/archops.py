@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, forward, legal_pair_mask, loss_and_gradients, prune_isolated_neurons
+from .network import Network, forward, legal_pair_mask, prune_isolated_neurons
+from .network import _StepPlan, _backprop, _check_batch, _check_labels
 
 log = logging.getLogger(__name__)
 
@@ -112,11 +113,12 @@ def possible_pair_count(net: Network, adjacent_only: bool = False) -> int:
 
 
 def _gradient_scores(net: Network, batch: tuple) -> np.ndarray:
-    """Mean over the batch of |dLoss/du_j * x_i| for every (i, j) pair."""
+    """Mean over the batch of |dLoss/du_j * x_i| for every (i, j) pair, from
+    one forward and backward pass through a plan that writes no dW."""
     x, labels = batch
-    _, _, _, du = loss_and_gradients(net, x, labels)
-    acts = forward(net, x).x
-    return (np.abs(acts).T @ np.abs(du)) / acts.shape[0]
+    labels, x = _check_labels(net, labels), _check_batch(net, x)
+    _, _, du, trace = _backprop(net, x, labels, 0.0, _StepPlan(net, []))
+    return (np.abs(trace.x).T @ np.abs(du)) / x.shape[0]
 
 
 def _activate(net: Network, pairs: np.ndarray) -> None:
@@ -229,22 +231,21 @@ def grow_neuron(
         net.weights[child, out_active] = out_w[out_active] + rng.normal(0.0, std, size=out_active.size)
         net.bias[child - net.n_in] = net.bias[parent - net.n_in]
     else:
-        pos = int(rng.integers(net.n_in, net.hidden_end + 1))
+        child = int(rng.integers(net.n_in, net.hidden_end + 1))
         if max_new_connections is not None and max_new_connections < 2:
             log.info("fresh neuron growth skipped: connection budget exhausted")
             return net
         layer = None
         if net.layers is not None:
             if net.n_hidden > 0:
-                layer = int(net.layers[min(max(pos, net.n_in), net.hidden_end - 1)])
+                layer = int(net.layers[min(child, net.hidden_end - 1)])
             else:
                 layer = 1
-        _insert_neuron(net, pos, layer)
-        child = pos
+        _insert_neuron(net, child, layer)
+        # child lies in [n_in, hidden_end): every earlier neuron may feed it,
+        # and it may feed every later one
         sources = np.arange(0, child)
-        sources = sources[sources < net.hidden_end]  # not out of outputs
         targets = np.arange(child + 1, net.n)
-        targets = targets[targets >= net.n_in]  # not into inputs
         k_in = max(1, math.ceil(policy.fresh_connection_fraction * sources.size))
         k_out = max(1, math.ceil(policy.fresh_connection_fraction * targets.size))
         if max_new_connections is not None:

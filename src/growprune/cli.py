@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import CsvSchema, DataError, Dataset, load_csv, load_dataset, load_features_csv, load_idx, make_blobs, make_embedded_clusters, make_moons, save_dataset, split, split_from_files
 from .dimreduce import normalize
-from .energy import count_ops, estimate_energy
+from .energy import round_energy
 from .network import checkpoint_dict, connection_count, from_mlp
 from .numerics import make_rng
 from .pipeline import (
@@ -35,7 +35,7 @@ from .pipeline import (
     save_bundle,
     SWEEP_FIELDS,
 )
-from .schemes import HistoryWriter, SchemeConfig, _safe_depth, run_scheme
+from .schemes import HistoryWriter, SchemeConfig, run_scheme, summarize_run
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -231,10 +231,6 @@ def _delimiter(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _fmt_energy(e: float) -> float:
-    return float(f"{e:.3g}")
-
-
 # --- commands ---------------------------------------------------------------
 
 def cmd_prep(args) -> int:
@@ -333,10 +329,9 @@ def cmd_synth(args) -> int:
                 res = run_scheme(cfg, ds, history_writer=writer)
             finally:
                 writer.close()
-            net = res.best_net
-            energy = estimate_energy(count_ops(net))
-            checkpoint = checkpoint_dict(net, seed=seed)
-            connections = connection_count(net)
+            summary = summarize_run(res)
+            summary["energy_j"] = round_energy(summary["energy_j"])
+            checkpoint = checkpoint_dict(res.best_net, seed=seed)
             _dump_json(checkpoint, tracker.path(f"seed_{seed}", "checkpoint.json"))
             preprocess = []
             if do_normalize and ds.normalization:
@@ -345,23 +340,13 @@ def cmd_synth(args) -> int:
                 checkpoint=checkpoint,
                 label_map=ds.label_map,
                 preprocess=preprocess,
-                metrics={
-                    "val_acc": res.best_val_acc,
-                    "test_acc": res.test_acc,
-                    "connections": connections,
-                    "energy_j": _fmt_energy(energy),
-                },
+                metrics={k: summary[k] for k in ("val_acc", "test_acc", "connections", "energy_j")},
                 notes=res.notes,
             )
             save_bundle(bundle, tracker.path(f"seed_{seed}", "bundle.json"))
             entry = {
                 "seed": seed,
-                "val_acc": res.best_val_acc,
-                "test_acc": res.test_acc,
-                "connections": connections,
-                "neurons": net.n_hidden,
-                "depth": _safe_depth(net),
-                "energy_j": _fmt_energy(energy),
+                **summary,
                 "best_iteration": res.best_iteration,
                 "diverged_iterations": res.diverged_iterations,
             }

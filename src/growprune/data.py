@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 import zipfile
@@ -324,9 +325,13 @@ def _read_idx(path, expect_magic):
     if len(raw) < header:
         raise DataError(f"{path}: truncated IDX dimension header")
     dims = struct.unpack(f">{ndim}i", raw[4:header])
-    count = int(np.prod(dims))
-    if len(raw) - header < count:
-        raise DataError(f"{path}: truncated IDX payload ({len(raw) - header} < {count})")
+    if min(dims) < 0:
+        raise DataError(f"{path}: negative IDX dimension in {dims}")
+    count, payload = math.prod(dims), len(raw) - header
+    # an IDX file holds exactly the counted bytes, so more means a wrong header
+    if payload != count:
+        what = "truncated" if payload < count else "overlong"
+        raise DataError(f"{path}: {what} IDX payload: {payload} bytes, header {dims} counts {count}")
     data = np.frombuffer(raw, dtype=np.uint8, count=count, offset=header)
     return data.reshape(dims)
 

@@ -60,6 +60,12 @@ def count_reducer_ops(d: int, k: int) -> OpCounts:
     return OpCounts(macs=d * k, sram_accesses=2 * d * k, comparisons=0)
 
 
+def round_energy(joules: float) -> float:
+    """An energy as metrics, sweep rows and bundles report it: rounded to
+    three significant digits."""
+    return float(f"{joules:.3g}")
+
+
 def estimate_energy(counts: OpCounts, model: EnergyCostModel = DEFAULT_COST_MODEL) -> float:
     """Energy in joules for the counted operations."""
     return (

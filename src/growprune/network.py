@@ -7,10 +7,10 @@ a fixed layer structure. Pruned weights are exactly zero, so the arithmetic
 works off the weight matrix alone.
 
 Forward and backward passes visit the same partition of the non-input
-neurons into segments (`_segments`). Hidden neurons are cut into runs
-wherever the layer id changes; a run with no nonzero weight between two of
-its own neurons is one segment, however wide, and any other run is cut every
-SEGMENT neurons. The outputs form the last segment, so no segment mixes
+neurons into segments (`_StepPlan.segments`). Hidden neurons are cut into
+runs wherever the layer id changes; a run with no nonzero weight between two
+of its own neurons is one segment, however wide, and any other run is cut
+every SEGMENT neurons. The outputs form the last segment, so no segment mixes
 hidden and output neurons. Each segment costs one GEMM for the contributions
 of all earlier neurons. Edges between two neurons of one segment are finished
 by a sequential walk. The forward pass walks the segment's walk columns (the
@@ -41,7 +41,10 @@ call and once per public call. It fixes the layer runs, which of them the
 mask holds an edge inside, and per segment the dW target; it rebuilds the
 walk columns and pull set of a run whose nonzero pattern changed since the
 last step, since a grown edge starts at weight zero, where it needs no walk,
-and turns nonzero after the first update.
+and turns nonzero after the first update. A plan without dW blocks writes no
+dW, and `_backprop` returns the forward trace it ran on, so a caller that
+needs only dU and the activations (gradient-based growth) runs one forward
+and one backward pass and no dW GEMM.
 """
 
 from __future__ import annotations
@@ -194,12 +197,6 @@ def _run_segments(nonzero: np.ndarray, a: int, e: int) -> list[tuple[int, int, n
     return segs
 
 
-def _segments(net: Network) -> list[tuple[int, int, np.ndarray, list]]:
-    """The partition of the non-input neurons, as (s, e, walk columns, pull
-    set) per segment; see `_run_segments`."""
-    return _StepPlan(net, []).segments()
-
-
 def _mask_rows(net: Network, s: int, e: int) -> tuple[int, int] | None:
     """First and one past the last sender the mask activates into columns
     [s, e), or None when the columns receive no active edge."""
@@ -226,9 +223,9 @@ class _StepPlan:
 
     `dw_blocks` holds (block, buffer) pairs whose blocks cover the columns of
     every segment's dW; each segment's dW goes into the buffer of the block
-    that holds its columns. A run the mask holds no edge inside is one
-    walk-free segment whose weights are never read; the mask must not change
-    while the plan is used.
+    that holds its columns. With no blocks the plan writes no dW. A run the
+    mask holds no edge inside is one walk-free segment whose weights are
+    never read; the mask must not change while the plan is used.
     """
 
     def __init__(self, net: Network, dw_blocks: list):
@@ -260,7 +257,10 @@ class _StepPlan:
         """(r0, r1, blk, live) for the segment columns [s, e): the mask's
         sender rows [r0, r1) into them, the view of the dW buffer that takes
         their dW block, and that mask block, or None where it is all True.
-        None when the columns receive no active edge."""
+        None when the columns receive no active edge or the plan writes no
+        dW."""
+        if not self.dw_blocks:
+            return None
         if (s, e) not in self.targets:
             rows = _mask_rows(self.net, s, e)
             if rows is None:
@@ -290,7 +290,7 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     The computational path depends only on the nonzero pattern of the weight
     matrix, so growing zero-weight connections leaves every float untouched.
     """
-    return _forward(net, _check_batch(net, batch), _segments(net))
+    return _forward(net, _check_batch(net, batch), _StepPlan(net, []).segments())
 
 
 def _forward(net: Network, batch: np.ndarray, segs: list) -> ForwardTrace:
@@ -337,20 +337,6 @@ def _check_labels(net: Network, labels: np.ndarray) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def loss_value(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay: float = 0.0) -> float:
-    """Mean softmax cross-entropy plus the L2 weight-decay term."""
-    labels = _check_labels(net, labels)
-    loss, _ = _cross_entropy(forward(net, batch).logits(net.n_out), labels)
-    if weight_decay:
-        loss += 0.5 * weight_decay * _sq_norm(net.weights[net.rect])
-    return loss
-
-
-def _sq_norm(w: np.ndarray) -> float:
-    # einsum reduces a strided view without the copy vdot would make
-    return float(np.einsum("ij,ij->", w, w))
-
-
 def loss_and_gradients(
     net: Network,
     batch: np.ndarray,
@@ -395,13 +381,13 @@ def loss_and_gradients(
         dw = np.zeros((n, n))
         # the whole n x n dW is one block at the origin
         _plan = _StepPlan(net, [((slice(0, n), slice(0, n)), dw)])
-    loss, dbias, du = _backprop(net, batch, labels, weight_decay, _plan)
+    loss, dbias, du, _ = _backprop(net, batch, labels, weight_decay, _plan)
     return loss, dw, dbias, du
 
 
 def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay: float, plan: _StepPlan):
     """Forward pass, loss and backward pass of one call through `plan`, on a
-    validated batch and int64 labels: (loss, dBias, dU)."""
+    validated batch and int64 labels: (loss, dBias, dU, forward trace)."""
     segs = plan.segments()
     trace = _forward(net, batch, segs)
     n, b = net.n, trace.x.shape[0]
@@ -410,7 +396,9 @@ def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay:
 
     loss, dlogits = _cross_entropy(trace.logits(net.n_out), labels)
     if weight_decay:
-        loss += 0.5 * weight_decay * _sq_norm(w[net.rect])
+        # einsum reduces a strided view without the copy vdot would make
+        wr = w[net.rect]
+        loss += 0.5 * weight_decay * float(np.einsum("ij,ij->", wr, wr))
 
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
@@ -444,7 +432,7 @@ def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay:
             blk += weight_decay * w[r0:r1, s:e]
 
     dbias = du[:, net.n_in :].sum(axis=0)
-    return loss, dbias, du
+    return loss, dbias, du, trace
 
 
 def predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, finite_numbers
 from .dimreduce import REDUCER_KINDS, Reducer, fit_reducer, normalize, reduce_dataset, shrink_architecture, transform, apply_normalization
-from .energy import count_ops, count_reducer_ops, estimate_energy
+from .energy import count_reducer_ops, estimate_energy, round_energy
 from .network import (
     Network,
     accuracy,
@@ -32,7 +32,7 @@ from .network import (
     predict,
 )
 from .numerics import make_rng
-from .schemes import OptimizerConfig, SchemeConfig, run_scheme, train_weights, TrainingDiverged, _check_count, _safe_depth
+from .schemes import OptimizerConfig, SchemeConfig, run_scheme, summarize_run, train_weights, TrainingDiverged, _check_count
 
 log = logging.getLogger(__name__)
 
@@ -316,21 +316,18 @@ def _run_cell(args):
     cand, reduced, scheme, base_seed, cell_index, pipe_cfg = args
     cfg = scheme_config_for_candidate(cand, scheme, pipe_cfg, base_seed)
     res = run_scheme(cfg, reduced, rng=cell_rng(base_seed, cell_index))
-    net = res.best_net
-    energy_net = estimate_energy(count_ops(net))
+    summary = summarize_run(res)
+    energy_net = summary["energy_j"]
     row = {
         "reducer": cand.reducer.kind,
         "k": cand.reducer.k,
         "scheme": scheme,
         "seed": base_seed,
-        "val_acc": res.best_val_acc,
-        "test_acc": res.test_acc,
-        "connections": connection_count(net),
-        "depth": _safe_depth(net),
-        "energy": float(f"{energy_net:.3g}"),
+        **{k: summary[k] for k in ("val_acc", "test_acc", "connections", "depth")},
+        "energy": round_energy(energy_net),
     }
     payload = {
-        "checkpoint": checkpoint_dict(net, seed=base_seed),
+        "checkpoint": checkpoint_dict(res.best_net, seed=base_seed),
         "energy_net": energy_net,
         "energy_with_reducer": energy_net
         + estimate_energy(count_reducer_ops(cand.reducer.d, cand.reducer.k)),
@@ -428,8 +425,8 @@ def run_pipeline(
             "baseline_connections": baseline.connections,
             "baseline_val_acc": baseline.val_acc,
             "compression_ratio": baseline.connections / max(1, sweep["best_row"]["connections"]),
-            "energy_net_j": float(f'{sweep["best_payload"]["energy_net"]:.3g}'),
-            "energy_with_reducer_j": float(f'{sweep["best_payload"]["energy_with_reducer"]:.3g}'),
+            "energy_net_j": round_energy(sweep["best_payload"]["energy_net"]),
+            "energy_with_reducer_j": round_energy(sweep["best_payload"]["energy_with_reducer"]),
         },
         notes=candidates.notes + sweep["best_payload"]["notes"],
     )

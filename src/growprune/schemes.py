@@ -19,6 +19,7 @@ import numpy as np
 
 from . import archops
 from .archops import GrowthPolicy, NeuronGrowthPolicy, PrunePolicy
+from .energy import count_ops, estimate_energy
 from .network import (
     Network,
     UnreachableOutputError,
@@ -211,6 +212,21 @@ class SynthesisResult:
     seed: int
     diverged_iterations: int = 0
     notes: list[str] = field(default_factory=list)
+
+
+def summarize_run(res: SynthesisResult) -> dict:
+    """What `synth` and `sweep` report of a finished run's best network:
+    val_acc, test_acc, connections, neurons, depth and energy_j, the
+    estimated joules per inference before `round_energy`."""
+    net = res.best_net
+    return {
+        "val_acc": res.best_val_acc,
+        "test_acc": res.test_acc,
+        "connections": connection_count(net),
+        "neurons": net.n_hidden,
+        "depth": _safe_depth(net),
+        "energy_j": estimate_energy(count_ops(net)),
+    }
 
 
 HISTORY_FIELDS = ["iteration", "val_acc", "connections", "neurons", "depth"]

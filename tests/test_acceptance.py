@@ -39,7 +39,6 @@ from growprune.network import (
     from_mlp,
     load_checkpoint,
     loss_and_gradients,
-    loss_value,
     save_checkpoint,
 )
 from growprune.numerics import make_rng
@@ -89,7 +88,7 @@ def test_criterion_01_gradient_correctness():
         _, dw, dbias, _ = loss_and_gradients(net, x, y, weight_decay=wd)
 
         def loss_fn():
-            return loss_value(net, x, y, weight_decay=wd)
+            return loss_and_gradients(net, x, y, weight_decay=wd)[0]
 
         ii, jj = np.nonzero(net.mask)
         ok = True

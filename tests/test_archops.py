@@ -13,7 +13,7 @@ from growprune.archops import (
     prune_connections,
     _gradient_scores,
 )
-from growprune.network import Network, forward, from_mlp, loss_and_gradients
+from growprune.network import Network, _StepPlan, forward, from_mlp, loss_and_gradients
 from growprune.numerics import make_rng
 from conftest import random_dag
 from oracles import naive_backward, naive_forward, topk_by_magnitude
@@ -102,6 +102,20 @@ def test_gradient_scores_match_the_oracle_gradients(rng, n_hidden):
     want /= len(x)
     assert np.count_nonzero(want) > net.n
     assert np.allclose(_gradient_scores(net, (x, y)), want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("dag", [False, True])
+def test_gradient_scores_equal_the_two_pass_reference_bitwise(rng, dag):
+    # one engine pass must give the floats of a separate forward and backward
+    if dag:
+        net = random_dag(rng, n_in=6, n_hidden=140, n_out=3, density=0.3)
+        assert any(walk.size for _, _, walk, _ in _StepPlan(net, []).segments())
+    else:
+        net = from_mlp([6, 20, 15, 3], rng)
+    x = rng.normal(size=(9, 6))
+    y = rng.integers(0, 3, size=9)
+    want = np.abs(forward(net, x).x).T @ np.abs(loss_and_gradients(net, x, y)[3]) / len(x)
+    assert np.array_equal(_gradient_scores(net, (x, y)), want)
 
 
 def test_gradient_growth_requires_batch(rng):

@@ -266,6 +266,16 @@ def test_merged_idx_test_label_unknown_to_training_is_data_error(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+def test_idx_header_with_negative_dimension_is_data_error(tmp_path, capsys):
+    m = idx_manifest(tmp_path, [0, 1, 2] * 6, [1, 2])
+    path = tmp_path / "train-images"
+    raw = path.read_bytes()
+    path.write_bytes(raw[:4] + struct.pack(">i", -18) + raw[8:])
+    assert main(["prep", "--manifest", m]) == 3
+    assert "negative IDX dimension" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_small_npz_dataset_preps(tmp_path):
     path = tmp_path / "d.npz"
     np.savez(path, **small_npz_members())

@@ -287,6 +287,28 @@ def test_load_idx_truncated_rejected(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("dims", [(-1, 2, 2), (2, -1, 2), (-2, 2, 2)])
+def test_load_idx_negative_image_dimension_rejected(tmp_path, dims):
+    ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+    ip.write_bytes(struct.pack(">iiii", 0x00000803, *dims) + b"\x00" * 8)
+    with pytest.raises(DataError, match="negative IDX dimension"):
+        load_idx(ip, lp)
+
+
+def test_load_idx_negative_label_count_rejected(tmp_path):
+    ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+    lp.write_bytes(struct.pack(">ii", 0x00000801, -2) + b"\x00" * 2)
+    with pytest.raises(DataError, match="negative IDX dimension"):
+        load_idx(ip, lp)
+
+
+def test_load_idx_trailing_payload_rejected(tmp_path):
+    ip, lp = write_idx_pair(tmp_path, np.zeros((2, 2, 2)), np.zeros(2))
+    ip.write_bytes(ip.read_bytes() + b"\x00")
+    with pytest.raises(DataError, match=r"overlong IDX payload: 9 bytes, header \(2, 2, 2\) counts 8"):
+        load_idx(ip, lp)
+
+
 def test_load_idx_bad_magic_rejected(tmp_path):
     p = tmp_path / "bad.idx"
     p.write_bytes(struct.pack(">iiii", 0x00000899, 1, 2, 2) + b"\x00" * 4)

@@ -17,11 +17,10 @@ from growprune.network import (
     checkpoint_dict,
     load_checkpoint,
     loss_and_gradients,
-    loss_value,
     network_from_dict,
     prune_isolated_neurons,
     save_checkpoint,
-    _segments,
+    _StepPlan,
 )
 from growprune.numerics import make_rng
 from conftest import random_dag
@@ -81,7 +80,7 @@ def layered_dag(rng, widths, n_in=3, n_out=2, density=0.3):
 
 
 def bounds(net):
-    return [(s, e) for s, e, *_ in _segments(net)]
+    return [(s, e) for s, e, *_ in _StepPlan(net, []).segments()]
 
 
 def assert_close_to_oracle(got, want):
@@ -93,14 +92,14 @@ def test_segments_follow_layers_and_keep_outputs_apart(rng):
     net = from_mlp([5, 130, 20, 3], rng)
     # no weight between two neurons of a run: one segment per run, however wide
     assert bounds(net) == [(5, 135), (135, 155), (155, 158)]
-    assert all(walk.size == 0 for _, _, walk, _ in _segments(net))
+    assert all(walk.size == 0 for _, _, walk, _ in _StepPlan(net, []).segments())
     # an active zero-weight edge inside the run changes nothing
     net.mask[5, 6] = True
     assert bounds(net) == [(5, 135), (135, 155), (155, 158)]
     # one nonzero in-run weight cuts that run every SEGMENT neurons
     net.weights[5, 6] = 0.5
     assert bounds(net) == [(5, 133), (133, 135), (135, 155), (155, 158)]
-    assert [walk.tolist() for _, _, walk, _ in _segments(net)] == [[1], [], [], []]
+    assert [walk.tolist() for _, _, walk, _ in _StepPlan(net, []).segments()] == [[1], [], [], []]
     # without layer ids all hidden neurons form one run, and the layer-1 to
     # layer-2 weights lie inside it
     net.weights[5, 6] = 0.0
@@ -169,7 +168,7 @@ def free_intra_segment_pairs(net):
     """Inactive (i, j) pairs with i and j hidden and in the same segment."""
     return [
         (int(i) + s, int(j) + s)
-        for s, e, *_ in _segments(net)[:-1]
+        for s, e, *_ in _StepPlan(net, []).segments()[:-1]
         for i, j in np.argwhere(np.triu(net.mask[s:e, s:e] == 0, 1))
     ]
 
@@ -201,7 +200,7 @@ def test_gradients_match_fd_on_wide_segment(rng):
         if np.abs(uh).min() > 1e-3:
             break
     y = rng.integers(0, net.n_out, size=3)
-    s, e, *_ = _segments(net)[0]
+    s, e, *_ = _StepPlan(net, []).segments()[0]
     assert e - s == SEGMENT
     zero = free_intra_segment_pairs(net)[0]
     assert s <= zero[0] < zero[1] < e
@@ -309,7 +308,7 @@ def assert_gradients_match_fd(net, x, y, weight_decay=0.0, rel=1e-6, asb=1e-8, e
     _, dw, dbias, _ = loss_and_gradients(net, x, y, weight_decay=weight_decay)
 
     def loss_fn():
-        return loss_value(net, x, y, weight_decay=weight_decay)
+        return loss_and_gradients(net, x, y, weight_decay=weight_decay)[0]
 
     if edges is None:
         edges = zip(*np.nonzero(net.mask))

@@ -10,8 +10,9 @@ from growprune.archops import GrowthPolicy, grow_connections
 from growprune.data import make_blobs, make_moons, split
 from growprune.network import (
     SEGMENT,
-    _segments,
+    _StepPlan,
     accuracy,
+    checkpoint_dict,
     connection_count,
     from_mlp,
     live_blocks,
@@ -82,7 +83,7 @@ def layered_random_dag():
     rng = make_rng(5)
     net = random_dag(rng, n_in=4, n_hidden=14, n_out=3, density=0.5)
     net.layers = np.array([0] * 4 + [1] * 5 + [2] * 4 + [3] * 5 + [4] * 3)
-    assert len(_segments(net)) == 4 and np.any(net.weights[4:9, 4:9])
+    assert len(_StepPlan(net, []).segments()) == 4 and np.any(net.weights[4:9, 4:9])
     return net
 
 
@@ -92,7 +93,7 @@ def wide_mlp_with_a_zero_weight_edge():
     # between steps while the optimizer's live blocks stay
     net = from_mlp([4, SEGMENT + 20, 3], make_rng(5))
     net.mask[4, 10] = net.mask[20, SEGMENT + 10] = True
-    assert len(_segments(net)) == 2
+    assert len(_StepPlan(net, []).segments()) == 2
     return net
 
 
@@ -135,9 +136,9 @@ def test_update_matches_dense_oracle_while_the_walk_changes(kind):
     # walk after the first update
     net = layered_random_dag()
     grow_connections(net, GrowthPolicy("full"), make_rng(7))
-    before = _segments(net)
+    before = _StepPlan(net, []).segments()
     assert_training_matches_dense_oracle(net, kind)
-    after = _segments(net)
+    after = _StepPlan(net, []).segments()
     assert [seg[:2] for seg in after] == [seg[:2] for seg in before]
     assert [seg[2].tolist() for seg in after] != [seg[2].tolist() for seg in before]
 
@@ -542,6 +543,31 @@ def test_a_step_list_without_train_runs_in_full(monkeypatch):
     res = run_scheme(cfg, blob_dataset(seed=18))
     assert ops == ["grow", "prune"] * 2
     assert len(res.history) == 2
+
+
+def test_gradient_growth_step_is_reproducible_and_adds_edges(monkeypatch):
+    grown = []
+    real = schemes.archops.grow_connections
+
+    def counted(net, policy, rng, max_new=None):
+        before = int(net.mask.sum())
+        out = real(net, policy, rng, max_new=max_new)
+        grown.append((policy.kind, int(net.mask.sum()) - before))
+        return out
+
+    monkeypatch.setattr(schemes.archops, "grow_connections", counted)
+    steps = [
+        {"op": "prune_connections", "prune_fraction": 0.5},
+        {"op": "train", "checkpoint": True},
+        {"op": "grow_connections", "kind": "gradient", "fraction_of_inactive": 0.5},
+        {"op": "train"},
+    ]
+    cfg = small_scheme("B", max_iterations=3, steps=steps, init_skip_growth=False)
+    r1, r2 = (run_scheme(cfg, blob_dataset(seed=18)) for _ in range(2))
+    assert r1.history == r2.history
+    assert checkpoint_dict(r1.best_net, seed=18) == checkpoint_dict(r2.best_net, seed=18)
+    # in each run iterations 1 and 2 grow; the final one stops at its checkpoint
+    assert len(grown) == 4 and all(kind == "gradient" and n > 0 for kind, n in grown)
 
 
 def test_divergence_at_the_final_checkpoint_restores_the_snapshot(monkeypatch):
