@@ -22,7 +22,7 @@ import numpy as np
 from .data import CsvSchema, DataError, Dataset, load_csv, load_dataset, load_features_csv, load_idx, make_blobs, make_embedded_clusters, make_moons, save_dataset, split, split_from_files
 from .dimreduce import normalize
 from .energy import round_energy
-from .network import checkpoint_dict, connection_count, from_mlp
+from .network import checkpoint_dict
 from .numerics import make_rng
 from .pipeline import (
     BaselineSearchConfig,
@@ -218,9 +218,10 @@ def _resolve_out(manifest: dict, args) -> Path:
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    return int(os.environ.get(WORKERS_ENV, "1"))
+    value = args.workers if args.workers is not None else os.environ.get(WORKERS_ENV, "1")
+    if not (str(value).isdecimal() and int(value) >= 1):
+        raise ManifestError(f"--workers or {WORKERS_ENV} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def _delimiter(value: str) -> str:
@@ -298,9 +299,7 @@ def _scheme_config(manifest: dict, args, ds: Dataset, seed: int) -> SchemeConfig
     spec.pop("hidden", None)
     cfg = _config(SchemeConfig, spec, "scheme")
     sizes = cfg.layer_sizes
-    if cfg.scheme in ("B", "C") and not (
-        isinstance(sizes, list) and sizes[:1] + sizes[-1:] == [ds.n_features, ds.n_classes]
-    ):
+    if cfg.scheme in ("B", "C") and sizes[:1] + sizes[-1:] != [ds.n_features, ds.n_classes]:
         raise ManifestError(
             f"manifest section 'scheme': layer_sizes {sizes!r} do not match the dataset "
             f"({ds.n_features} features, {ds.n_classes} classes)"
@@ -320,10 +319,11 @@ def cmd_synth(args) -> int:
     try:
         per_seed = []
         baseline_declared = manifest.get("baseline_connections")
+        sizes = cfgs[0].layer_sizes
+        if baseline_declared is None and sizes:
+            # a dense MLP's edges plus the biases of its non-input neurons
+            baseline_declared = sum(a * b for a, b in zip(sizes, sizes[1:])) + sum(sizes[1:])
         for seed, cfg in zip(seeds, cfgs):
-            if baseline_declared is None and cfg.layer_sizes:
-                dense = from_mlp(cfg.layer_sizes, make_rng(0))
-                baseline_declared = connection_count(dense)
             writer = HistoryWriter(tracker.path(f"seed_{seed}", "history.csv"))
             try:
                 res = run_scheme(cfg, ds, history_writer=writer)
@@ -473,22 +473,14 @@ def _collect_runs(results_dir: Path) -> list[dict]:
         if bj.exists():
             entry["baseline"] = json.loads(bj.read_text())
             found = True
-        cj = d / "candidates.csv"
-        if cj.exists():
-            with open(cj) as f:
-                entry["reduced"] = [
-                    {"val_acc": float(r["val_acc"]), "connections": int(r["connections"])}
-                    for r in csv.DictReader(f)
-                ]
-            found = True
-        sj = d / "sweep.csv"
-        if sj.exists():
-            with open(sj) as f:
-                entry["full"] = [
-                    {"val_acc": float(r["val_acc"]), "connections": int(r["connections"])}
-                    for r in csv.DictReader(f)
-                ]
-            found = True
+        for name, key in (("candidates.csv", "reduced"), ("sweep.csv", "full")):
+            if (d / name).exists():
+                with open(d / name) as f:
+                    entry[key] = [
+                        {"val_acc": float(r["val_acc"]), "connections": int(r["connections"])}
+                        for r in csv.DictReader(f)
+                    ]
+                found = True
         mj = d / "metrics.json"
         if mj.exists():
             m = json.loads(mj.read_text())

@@ -56,6 +56,9 @@ import numpy as np
 
 
 SEGMENT = 128  # most hidden neurons in one segment
+# most neurons a checkpoint may name: its dense n x n float64 weights and bool
+# mask take 576 MiB at the ceiling, before `Network.validate`'s temporaries
+MAX_CHECKPOINT_NEURONS = 8192
 
 
 class UnreachableOutputError(Exception):
@@ -604,16 +607,18 @@ def network_from_dict(d: dict) -> Network:
     if not all(type(c) is int for c in counts):
         raise ValueError(f"neuron counts must be integers, got {counts}")
     n = sum(counts)
+    if n > MAX_CHECKPOINT_NEURONS:
+        raise ValueError(f"checkpoint names {n} neurons, above the ceiling of {MAX_CHECKPOINT_NEURONS}")
     # layer ids decide the segment partition, and numpy would truncate a
     # fractional id or parse a numeric string, so the entries are checked first
     layers, bias = d.get("layers"), d.get("bias")
     if layers is not None and not (isinstance(layers, list) and all(type(v) is int for v in layers)):
         raise ValueError("layers must be a list of integer layer ids")
+    if layers is not None and len(layers) != n:
+        raise ValueError(f"layers holds {len(layers)} layer ids for {n} neurons")
     if not (isinstance(bias, list) and all(type(v) in (int, float) for v in bias)):
         raise ValueError("bias must be a list of numbers")
     net = Network(*counts, mask=_rle_to_mask(d["mask_rle"], n), bias=bias, layers=layers)
-    if net.layers is not None and net.layers.shape != (n,):
-        raise ValueError("layers must hold one layer id per neuron")
     triples = np.asarray(d["weights"], dtype=np.float64).reshape(-1, 3)
     if len(triples) != len(d["weights"]):
         raise ValueError("weights must be [row, column, value] triples")

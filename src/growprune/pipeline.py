@@ -313,28 +313,20 @@ def cell_rng(base_seed: int, cell_index: int) -> np.random.Generator:
 
 
 def _run_cell(args):
+    """One cell's sweep row, checkpoint, unrounded network energy and notes."""
     cand, reduced, scheme, base_seed, cell_index, pipe_cfg = args
     cfg = scheme_config_for_candidate(cand, scheme, pipe_cfg, base_seed)
     res = run_scheme(cfg, reduced, rng=cell_rng(base_seed, cell_index))
     summary = summarize_run(res)
-    energy_net = summary["energy_j"]
     row = {
         "reducer": cand.reducer.kind,
         "k": cand.reducer.k,
         "scheme": scheme,
         "seed": base_seed,
         **{k: summary[k] for k in ("val_acc", "test_acc", "connections", "depth")},
-        "energy": round_energy(energy_net),
+        "energy": round_energy(summary["energy_j"]),
     }
-    payload = {
-        "checkpoint": checkpoint_dict(res.best_net, seed=base_seed),
-        "energy_net": energy_net,
-        "energy_with_reducer": energy_net
-        + estimate_energy(count_reducer_ops(cand.reducer.d, cand.reducer.k)),
-        "reduced_normalization": reduced.normalization,
-        "notes": res.notes,
-    }
-    return cell_index, row, payload
+    return row, checkpoint_dict(res.best_net, seed=base_seed), summary["energy_j"], res.notes
 
 
 def synthesize_from_candidates(
@@ -347,43 +339,39 @@ def synthesize_from_candidates(
     """Run every candidate x scheme x seed synthesis cell and pick the best.
 
     Ties on validation accuracy break toward fewer connections, then toward
-    the more structured scheme (C over B over A).
+    the more structured scheme (C over B over A), then the earlier cell.
+    Returns the sweep rows in cell order, the winning row with its
+    checkpoint, unrounded network energy and notes, and the winner's
+    candidate and reduced dataset.
     """
     if not candidates.entries:
         raise ValueError("candidate set is empty")
-    scheme_rank = {"C": 0, "B": 1, "A": 2}
     cells = []
-    reduced_cache: dict[tuple, Dataset] = {}
     for cand in candidates.entries:
-        key = (cand.reducer.kind, cand.reducer.k)
-        if key not in reduced_cache:
-            reduced_cache[key] = normalize(reduce_dataset(cand.reducer, data_norm))
+        reduced = normalize(reduce_dataset(cand.reducer, data_norm))
         for scheme in pipe_cfg.schemes:
             for seed in seeds:
-                cells.append((cand, reduced_cache[key], scheme, seed, len(cells), pipe_cfg))
+                cells.append((cand, reduced, scheme, seed, len(cells), pipe_cfg))
     if workers > 1:
         with Pool(workers) as pool:
             results = pool.map(_run_cell, cells)
     else:
         results = [_run_cell(c) for c in cells]
-    results.sort(key=lambda t: t[0])
-    rows = [r for _, r, _ in results]
-    best_idx = None
-    best_key = None
-    for idx, row, payload in results:
-        key = (-row["val_acc"], row["connections"], scheme_rank[row["scheme"]], idx)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_idx = idx
-    _, best_row, best_payload = results[best_idx]
-    # cells run candidate-major, len(schemes) * len(seeds) per candidate
-    ci = best_idx // (len(pipe_cfg.schemes) * len(seeds))
+    rows = [r[0] for r in results]
+    best = min(
+        range(len(rows)),
+        key=lambda i: (-rows[i]["val_acc"], rows[i]["connections"], "CBA".index(rows[i]["scheme"])),
+    )
+    _, checkpoint, energy_net, notes = results[best]
+    cand, reduced = cells[best][:2]
     return {
         "rows": rows,
-        "best_row": best_row,
-        "best_payload": best_payload,
-        "best_candidate_index": ci,
-        "best_reducer": candidates.entries[ci].reducer,
+        "best_row": rows[best],
+        "checkpoint": checkpoint,
+        "energy_net": energy_net,
+        "notes": notes,
+        "candidate": cand,
+        "reduced": reduced,
     }
 
 
@@ -410,25 +398,27 @@ def run_pipeline(
         data_norm, baseline, cfg.reducers, cfg.k_grid, cfg.candidate_optimizer, base_rng
     )
     sweep = synthesize_from_candidates(data_norm, candidates, cfg, seeds, workers)
+    best, reducer = sweep["best_row"], sweep["candidate"].reducer
+    energy_reducer = estimate_energy(count_reducer_ops(reducer.d, reducer.k))
     bundle = make_bundle(
-        checkpoint=sweep["best_payload"]["checkpoint"],
+        checkpoint=sweep["checkpoint"],
         label_map=data.label_map,
         preprocess=[
             {"op": "normalize", **data_norm.normalization},
-            {"op": "reduce", "reducer": sweep["best_reducer"].to_dict()},
-            {"op": "normalize", **sweep["best_payload"]["reduced_normalization"]},
+            {"op": "reduce", "reducer": reducer.to_dict()},
+            {"op": "normalize", **sweep["reduced"].normalization},
         ],
         metrics={
-            "val_acc": sweep["best_row"]["val_acc"],
-            "test_acc": sweep["best_row"]["test_acc"],
-            "connections": sweep["best_row"]["connections"],
+            "val_acc": best["val_acc"],
+            "test_acc": best["test_acc"],
+            "connections": best["connections"],
             "baseline_connections": baseline.connections,
             "baseline_val_acc": baseline.val_acc,
-            "compression_ratio": baseline.connections / max(1, sweep["best_row"]["connections"]),
-            "energy_net_j": round_energy(sweep["best_payload"]["energy_net"]),
-            "energy_with_reducer_j": round_energy(sweep["best_payload"]["energy_with_reducer"]),
+            "compression_ratio": baseline.connections / max(1, best["connections"]),
+            "energy_net_j": round_energy(sweep["energy_net"]),
+            "energy_with_reducer_j": round_energy(sweep["energy_net"] + energy_reducer),
         },
-        notes=candidates.notes + sweep["best_payload"]["notes"],
+        notes=candidates.notes + sweep["notes"],
     )
     return PipelineResult(
         baseline=baseline, candidates=candidates, sweep_rows=sweep["rows"], bundle=bundle

@@ -151,6 +151,11 @@ class SchemeConfig:
             self.optimizer = OptimizerConfig(**self.optimizer)
         if self.final_connections is not None and self.final_connections > self.max_connections:
             raise ValueError("final_connections must be <= max_connections")
+        if self.layer_sizes is not None:
+            if not (isinstance(self.layer_sizes, list) and len(self.layer_sizes) >= 2):
+                raise ValueError(f"layer_sizes must list at least two layer widths, got {self.layer_sizes!r}")
+            for size in self.layer_sizes:
+                _check_count("each of layer_sizes", size, 1)
         if self.scheme in ("B", "C"):
             if self.layer_sizes is None:
                 raise ValueError(f"scheme {self.scheme} needs layer_sizes")

@@ -1,8 +1,10 @@
+import csv
 import json
 import os
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -10,9 +12,9 @@ import numpy as np
 import pytest
 
 import growprune
-from growprune.cli import main
+from growprune.cli import WORKERS_ENV, main
 from growprune.data import DataError, load_dataset, load_features_csv
-from growprune.network import checkpoint_dict, depth, from_mlp, load_checkpoint
+from growprune.network import MAX_CHECKPOINT_NEURONS, checkpoint_dict, depth, from_mlp, load_checkpoint
 from growprune.numerics import make_rng
 from growprune.pipeline import load_bundle, make_bundle
 from growprune.schemes import TrainingDiverged, run_scheme
@@ -398,6 +400,40 @@ def test_sweep_and_infer_reproduce_val_accuracy(tmp_path):
     assert acc == bundle["metrics"]["val_acc"]
 
 
+@pytest.mark.parametrize(
+    "flags, env",
+    [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "abc"), ([], "0"), ([], "-1"), ([], "1.5")],
+    ids=["flag_zero", "flag_negative", "env_abc", "env_zero", "env_negative", "env_fraction"],
+)
+def test_worker_count_below_one_or_not_an_integer_is_usage_error(tmp_path, monkeypatch, capsys, flags, env):
+    if env is None:
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(WORKERS_ENV, env)
+    out = tmp_path / "o"
+    assert main(["sweep", "--manifest", write_manifest(tmp_path, sweep_manifest(out)), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "integer >= 1" in err
+    assert not out.exists()
+
+
+def test_sweep_through_a_worker_pool_matches_one_worker(tmp_path, monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    manifest = sweep_manifest(tmp_path / "unused")
+    manifest["pipeline"]["schemes"] = ["A", "B", "C"]
+    m = write_manifest(tmp_path, manifest)
+    for name, flags in (("one", ["--workers", "1"]), ("flag", ["--workers", "2"])):
+        assert main(["sweep", "--manifest", m, "--out", str(tmp_path / name), *flags]) == 0
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    assert main(["sweep", "--manifest", m, "--out", str(tmp_path / "env")]) == 0
+    # bundle.json and the checkpoint in it are left out: BLAS threads in
+    # pool workers may move their low bits
+    for name in ("sweep.csv", "metrics.json"):
+        one = (tmp_path / "one" / name).read_bytes()
+        assert (tmp_path / "flag" / name).read_bytes() == one
+        assert (tmp_path / "env" / name).read_bytes() == one
+
+
 def test_infer_empty_input_succeeds(tmp_path):
     out = tmp_path / "run"
     m = write_manifest(tmp_path, toy_manifest(out))
@@ -437,6 +473,36 @@ def run_infer(tmp_path, bundle, rows):
     feats = tmp_path / "rows.csv"
     feats.write_text(rows)
     return main(["infer", "--bundle", str(bundle), "--features", str(feats), "--out", str(tmp_path / "p.txt")])
+
+
+def test_infer_refuses_a_checkpoint_above_the_neuron_ceiling_before_allocating(tmp_path, capsys):
+    n = MAX_CHECKPOINT_NEURONS + 1
+    checkpoint = {
+        "format": "growprune-checkpoint",
+        "version": 1,
+        "n_in": n - 2,
+        "n_hidden": 0,
+        "n_out": 2,
+        "activation": "relu",
+        "mask_rle": [[]] * n,
+        "weights": [],
+        "bias": [0.0, 0.0],
+        "layers": None,
+    }
+    bundle = tmp_path / "big.json"
+    bundle.write_text(json.dumps(make_bundle(checkpoint, {"a": 0, "b": 1}, preprocess=[], metrics={})))
+    start = time.perf_counter()
+    assert run_infer(tmp_path, bundle, "1,2,3\n") == 3
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert f"{n} neurons" in err and str(MAX_CHECKPOINT_NEURONS) in err and "Traceback" not in err
+    assert not (tmp_path / "p.txt").exists()
+
+
+def test_infer_names_the_length_of_a_short_layers_list(tmp_path, capsys):
+    assert run_infer(tmp_path, write_bundle(tmp_path, lambda b: b["checkpoint"]["layers"].pop()), "1,2,3\n") == 3
+    assert "8 layer ids for 9 neurons" in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()
 
 
 def test_infer_valid_bundle_predicts(tmp_path):
@@ -702,6 +768,8 @@ MANIFEST_ERRORS = {
     "baseline_zero_seeds": ("baseline", lambda m: m.update(seeds=0), []),
     "scheme_layer_sizes_mismatch": ("synth", lambda m: m["scheme"].update(layer_sizes=[10, 16, 4]), []),
     "scheme_layer_sizes_classes": ("synth", lambda m: m["scheme"].update(layer_sizes=[12, 16, 3]), []),
+    "scheme_fractional_layer_size": ("synth", lambda m: m["scheme"].update(layer_sizes=[12, 16.7, 4]), []),
+    "scheme_zero_layer_size": ("synth", lambda m: m["scheme"].update(layer_sizes=[12, 0, 4]), []),
     "optimizer_fractional_batch": ("synth", lambda m: m["scheme"]["optimizer"].update(batch_size=64.5), []),
     "optimizer_fractional_epochs": ("synth", lambda m: m["scheme"]["optimizer"].update(epochs_per_iteration=2.5), []),
     "optimizer_nan_lr": ("synth", lambda m: m["scheme"]["optimizer"].update(learning_rate=float("nan")), []),
@@ -827,6 +895,36 @@ def test_report_single_run_idempotent(tmp_path):
     lines = (rep / "report.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header + one run
     assert "synth_ha_acc" in lines[0]
+
+
+def test_report_on_a_sweep_pins_baseline_reduced_and_full_cells(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--manifest", write_manifest(tmp_path, sweep_manifest(out))]) == 0
+    rep = tmp_path / "rep"
+    assert main(["report", "--results", str(out), "--out", str(rep)]) == 0
+    with open(rep / "report.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    # no reduced candidate and no sweep cell meets the baseline: both
+    # most-compressed cells show the nearest miss, starred
+    assert rows == [
+        {
+            "run": ".",
+            "baseline_acc": "0.6316",
+            "baseline_params": "276",
+            "reduced_ha_acc": "0.6184",
+            "reduced_ha_params": "92",
+            "reduced_mc_acc": "0.4079*",
+            "reduced_mc_params": "36",
+            "synth_ha_acc": "-",
+            "synth_ha_params": "-",
+            "synth_mc_acc": "-",
+            "synth_mc_params": "-",
+            "full_ha_acc": "0.6053",
+            "full_ha_params": "25",
+            "full_mc_acc": "0.3158*",
+            "full_mc_params": "8",
+        }
+    ]
 
 
 def test_report_missing_dir_is_data_error(tmp_path):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from growprune.data import Dataset, make_blobs, make_embedded_clusters, make_moons, split
-from growprune.dimreduce import normalize
-from growprune.network import connection_count, network_from_dict
+from growprune.dimreduce import fit_reducer, normalize, reduce_dataset
+from growprune.network import connection_count
 from growprune.numerics import make_rng
 from growprune.pipeline import (
     BaselineSearchConfig,
+    Candidate,
+    CandidateSet,
     PipelineConfig,
     bundle_predict,
     cell_rng,
@@ -173,8 +175,6 @@ def test_degenerate_sweep_equals_direct_scheme_run():
     assert len(sweep["rows"]) == 1
 
     # direct run with the identical cell stream must match exactly
-    from growprune.dimreduce import reduce_dataset
-
     reduced = normalize(reduce_dataset(cands.entries[0].reducer, data_norm))
     scheme_cfg = scheme_config_for_candidate(cands.entries[0], "C", cfg, 9)
     res = run_scheme(scheme_cfg, reduced, rng=cell_rng(9, 0))
@@ -189,28 +189,51 @@ def test_scheme_a_cells_respect_candidate_budget():
     cfg = small_pipeline_config(schemes=("A",))
     baseline = find_baseline(data_norm, cfg.baseline, make_rng(5))
     cands = compress_per_layer(
-        data_norm, baseline, ["rp_gauss_scaled"], [6], cfg.candidate_optimizer, make_rng(5)
+        data_norm, baseline, ["rp_gauss_scaled", "pca"], [6, 3], cfg.candidate_optimizer, make_rng(5)
     )
-    sweep = synthesize_from_candidates(data_norm, cands, cfg, seeds=[1])
-    for row, cand in zip(sweep["rows"], cands.entries):
-        net = network_from_dict(sweep["best_payload"]["checkpoint"])
-        assert int(net.mask.sum()) <= cands.entries[sweep["best_candidate_index"]].edges
+    seeds = [1, 2]
+    sweep = synthesize_from_candidates(data_norm, cands, cfg, seeds=seeds)
+    cells = [(cand, seed) for cand in cands.entries for seed in seeds]
+    assert len(sweep["rows"]) == len(cells)
+    # re-run each cell on its own stream, as the degenerate-sweep test does
+    for index, (row, (cand, seed)) in enumerate(zip(sweep["rows"], cells)):
+        reduced = normalize(reduce_dataset(cand.reducer, data_norm))
+        res = run_scheme(scheme_config_for_candidate(cand, "A", cfg, seed), reduced, rng=cell_rng(seed, index))
+        assert (connection_count(res.best_net), res.best_val_acc) == (row["connections"], row["val_acc"])
+        assert int(res.best_net.mask.sum()) <= cand.edges
 
 
-def test_sweep_best_is_argmax_with_tiebreaks(rng):
-    # pure selection logic on synthetic rows via the sweep's ordering key
-    rows = [
-        {"val_acc": 0.9, "connections": 50, "scheme": "A"},
-        {"val_acc": 0.9, "connections": 40, "scheme": "B"},
-        {"val_acc": 0.9, "connections": 40, "scheme": "C"},
-        {"val_acc": 0.89, "connections": 10, "scheme": "C"},
-    ]
-    scheme_rank = {"C": 0, "B": 1, "A": 2}
-    best = min(
-        range(len(rows)),
-        key=lambda i: (-rows[i]["val_acc"], rows[i]["connections"], scheme_rank[rows[i]["scheme"]], i),
+def test_sweep_best_is_argmax_with_tiebreaks(monkeypatch):
+    # cells run candidate-major, then scheme, then seed; the winner, cell 10,
+    # beats one cell on each key: accuracy, connections, scheme and place
+    scores = {  # (k, scheme, seed) -> (val_acc, connections)
+        (6, "A", 1): (0.89, 10),
+        (6, "B", 1): (0.9, 40),
+        (6, "C", 1): (0.9, 50),
+        (3, "C", 1): (0.9, 40),
+        (3, "C", 2): (0.9, 40),
+    }
+
+    def fake_cell(args):
+        cand, _, scheme, seed, index, _ = args
+        acc, conns = scores.get((cand.reducer.k, scheme, seed), (0.5, 100))
+        row = {"k": cand.reducer.k, "scheme": scheme, "seed": seed, "val_acc": acc, "connections": conns}
+        return row, {"cell": index}, float(index), [f"cell {index}"]
+
+    monkeypatch.setattr("growprune.pipeline._run_cell", fake_cell)
+    data_norm = normalize(small_pipeline_dataset())
+    x_train, _ = data_norm.train_xy()
+    cands = CandidateSet(
+        [Candidate([k, 8, 4], fit_reducer("pca", x_train, k, make_rng(0)), 0.5, 50, 60, True) for k in (6, 3)],
+        [],
+        0.5,
     )
-    assert best == 2
+    sweep = synthesize_from_candidates(data_norm, cands, small_pipeline_config(("A", "B", "C")), seeds=[1, 2])
+    assert len(sweep["rows"]) == 12
+    assert sweep["best_row"] == {"k": 3, "scheme": "C", "seed": 1, "val_acc": 0.9, "connections": 40}
+    assert (sweep["checkpoint"], sweep["energy_net"], sweep["notes"]) == ({"cell": 10}, 10.0, ["cell 10"])
+    assert sweep["candidate"] is cands.entries[1]
+    assert sweep["reduced"].n_features == 3
 
 
 def test_run_pipeline_end_to_end_and_bundle_replay(tmp_path):
@@ -269,8 +292,6 @@ def test_default_k_grid_rules():
 
 def test_empty_candidate_set_rejected():
     cfg = small_pipeline_config()
-    from growprune.pipeline import CandidateSet
-
     with pytest.raises(ValueError, match="empty"):
         synthesize_from_candidates(
             normalize(small_pipeline_dataset()), CandidateSet([], [], 0.9), cfg, seeds=[1]
