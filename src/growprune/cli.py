@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CsvSchema, DataError, Dataset, load_csv, load_dataset, load_features_csv, load_idx, make_blobs, make_embedded_clusters, make_moons, save_dataset, split, split_from_files
+from .data import CsvSchema, DataError, Dataset, load_csv, load_dataset, load_idx, make_blobs, make_embedded_clusters, make_moons, save_dataset, split, split_from_files
 from .dimreduce import normalize
 from .energy import round_energy
 from .network import checkpoint_dict
@@ -27,10 +27,10 @@ from .numerics import make_rng
 from .pipeline import (
     BaselineSearchConfig,
     PipelineConfig,
-    bundle_predict,
     find_baseline,
     load_bundle,
     make_bundle,
+    predict_features_file,
     run_pipeline,
     save_bundle,
     SWEEP_FIELDS,
@@ -401,7 +401,9 @@ def cmd_sweep(args) -> int:
     spec = dict(manifest.get("pipeline", {}))
     if args.reducer:
         spec["reducers"] = [args.reducer]
-    if args.k:
+    if args.k is not None:
+        if not 1 <= args.k < ds.n_features:
+            raise ManifestError(f"--k must be an integer in [1, {ds.n_features}) for {ds.n_features} features, got {args.k}")
         spec["k_grid"] = [args.k]
     if args.scheme:
         spec["schemes"] = [args.scheme]
@@ -448,17 +450,12 @@ def cmd_infer(args) -> int:
         bundle, net = load_bundle(args.bundle)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot load bundle {args.bundle}: {exc}") from exc
-    x = load_features_csv(args.features, args.delimiter)
-    out_path = Path(args.out) if args.out else Path(args.features).with_suffix(".predictions.txt")
-    if x.size == 0:
-        out_path.write_text("")
-        print(f"0 predictions -> {out_path}")
-        return EXIT_OK
     try:
-        labels = bundle_predict(bundle, x, net)
+        labels = predict_features_file(bundle, net, args.features, args.delimiter)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    out_path.write_text("\n".join(str(v) for v in labels) + "\n")
+    out_path = Path(args.out) if args.out else Path(args.features).with_suffix(".predictions.txt")
+    out_path.write_text("".join(f"{v}\n" for v in labels))
     print(f"{len(labels)} predictions -> {out_path}")
     return EXIT_OK
 

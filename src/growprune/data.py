@@ -192,13 +192,10 @@ def _parse_digit_block(block: np.ndarray, out: np.ndarray, delimiter: str) -> bo
     return True
 
 
-def _digit_rows(data: bytes, delimiter: str) -> np.ndarray | None:
-    """`data` as a float64 matrix if it holds only rows of non-negative
-    decimal integers below 10**18, fields split by a one-byte `delimiter`
-    and rows by newlines (the last one optional), every row as wide as the
-    first; None for any other text. The text is cut at row ends into blocks
-    of about _BLOCK_BYTES that a thread per usable CPU checks and parses;
-    the first block is checked alone first, so other text costs one block."""
+def _digit_blocks(data: bytes, delimiter: str) -> tuple[list[np.ndarray], int] | None:
+    """`data` cut at row ends into blocks of about _BLOCK_BYTES for the
+    digit-row reader, with the field count of its first row; None for a
+    delimiter that reader does not take."""
     if len(delimiter) != 1 or delimiter.isdigit() or not (delimiter == "\t" or " " <= delimiter <= "~"):
         return None
     end = len(data) - data.endswith(b"\n")
@@ -210,8 +207,21 @@ def _digit_rows(data: bytes, delimiter: str) -> np.ndarray | None:
         stop = data.find(b"\n", start + _BLOCK_BYTES, end)
         blocks.append(view[start : end if stop < 0 else stop])
         if stop < 0:
-            break
+            return blocks, ncols
         start = stop + 1
+
+
+def _digit_rows(data: bytes, delimiter: str) -> np.ndarray | None:
+    """`data` as a float64 matrix if it holds only rows of non-negative
+    decimal integers below 10**18, fields split by a one-byte `delimiter`
+    and rows by newlines (the last one optional), every row as wide as the
+    first; None for any other text. A thread per usable CPU checks and
+    parses the blocks of `_digit_blocks`; the first block is checked alone
+    first, so other text costs one block."""
+    cut = _digit_blocks(data, delimiter)
+    if cut is None:
+        return None
+    blocks, ncols = cut
     check = partial(_digit_block_rows, sep=ord(delimiter), ncols=ncols)
     rows = [check(blocks[0])]
     if rows[0] is None:
@@ -230,6 +240,32 @@ def _digit_rows(data: bytes, delimiter: str) -> np.ndarray | None:
     return x
 
 
+def _digit_block_matrix(block: np.ndarray, rows: int | None, ncols: int, delimiter: str) -> np.ndarray | None:
+    """One block of `_digit_blocks` checked, unless its row count `rows` is
+    known, and parsed; None where the digit-row reader refuses it."""
+    if rows is None:
+        rows = _digit_block_rows(block, ord(delimiter), ncols)
+        if rows is None:
+            return None
+    x = np.empty((rows, ncols))
+    return x if _parse_digit_block(block, x, delimiter) else None
+
+
+def _digit_tasks(data: bytes, delimiter: str) -> tuple[int, list] | None:
+    """What the digit-row reader would read of `data`, as its column count and
+    one function per block that returns the block's rows as a float64 matrix,
+    or None where the reader refuses that block. The first block is checked
+    here, and the result is None if the reader refuses it."""
+    cut = _digit_blocks(data, delimiter)
+    if cut is None:
+        return None
+    blocks, ncols = cut
+    rows = _digit_block_rows(blocks[0], ord(delimiter), ncols)
+    if rows is None:
+        return None
+    return ncols, [partial(_digit_block_matrix, b, rows if i == 0 else None, ncols, delimiter) for i, b in enumerate(blocks)]
+
+
 def _parse_rows(lines: list[str], delimiter: str) -> np.ndarray:
     """The text reader behind the digit-row reader of both loaders: `lines`
     of `delimiter`-separated numbers as a float64 matrix whose bits equal
@@ -242,26 +278,42 @@ def _parse_rows(lines: list[str], delimiter: str) -> np.ndarray:
     return x
 
 
-def load_features_csv(path, delimiter: str = ",") -> np.ndarray:
-    """Feature rows, one per non-blank line, as a float64 matrix (0 x 0 for
-    a file without rows)."""
+def _read_features(path) -> bytes:
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return f.read()
     except OSError as exc:
         raise DataError(f"cannot read features file {path}: {exc}") from exc
-    x = _digit_rows(data, delimiter)
-    if x is not None:
-        return x
+
+
+def _text_rows(data: bytes, path, delimiter: str) -> np.ndarray:
+    """The text readers' matrix of the features file `path`, whose bytes
+    `data` the digit-row reader refused: one row per non-blank line, 0 x 0
+    for a file without rows."""
     try:  # decoded as open(path) in text mode does
         with io.TextIOWrapper(io.BytesIO(data)) as f:
             text = f.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read features file {path}: {exc}") from exc
-    del data  # at most two copies of the file are alive at once
     lines = [ln for ln in text.splitlines() if ln.strip()]
     del text
     return _parse_rows(lines, delimiter) if lines else np.zeros((0, 0))
+
+
+def _text_tasks(data: bytes, path, delimiter: str) -> tuple[int, list]:
+    """`_text_rows` as its column count and one function per block of about
+    _BLOCK_BYTES of float64 that returns those rows."""
+    x = _text_rows(data, path, delimiter)
+    step = max(1, _BLOCK_BYTES // (8 * max(1, x.shape[1])))
+    return x.shape[1], [partial(x.__getitem__, slice(a, a + step)) for a in range(0, len(x), step)]
+
+
+def load_features_csv(path, delimiter: str = ",") -> np.ndarray:
+    """Feature rows, one per non-blank line, as a float64 matrix (0 x 0 for
+    a file without rows)."""
+    data = _read_features(path)
+    x = _digit_rows(data, delimiter)
+    return _text_rows(data, path, delimiter) if x is None else x
 
 
 def load_csv(path, schema: CsvSchema | None = None) -> Dataset:

@@ -37,7 +37,10 @@ def normalize(dataset: Dataset) -> Dataset:
 
 def apply_normalization(params: dict, features: np.ndarray) -> np.ndarray:
     lo = np.asarray(params["min"], dtype=np.float64)
-    scale = np.asarray(params["scale"], dtype=np.float64)
+    return _rescale(features, lo, np.asarray(params["scale"], dtype=np.float64))
+
+
+def _rescale(features: np.ndarray, lo: np.ndarray, scale: np.ndarray) -> np.ndarray:
     # one new array, scaled in place; the caller's features stay untouched
     out = np.subtract(features, lo)
     out *= scale
@@ -129,6 +132,11 @@ def transform(reducer: Reducer, features: np.ndarray) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != reducer.d:
         raise ValueError(f"feature width mismatch: expected {reducer.d}, got {x.shape}")
+    return _project(reducer, x)
+
+
+def _project(reducer: Reducer, x: np.ndarray) -> np.ndarray:
+    """`transform` of a float64 matrix of the reducer's width."""
     if reducer.kind == "pca":
         return (x - reducer.mean) @ reducer.components
     return x @ reducer.matrix

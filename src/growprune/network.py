@@ -161,7 +161,7 @@ class ForwardTrace:
     output neurons carry their preactivity (identity pre-softmax).
     """
 
-    u: np.ndarray  # (batch, N)
+    u: np.ndarray | None  # (batch, N); None from a pass that keeps no preactivations
     x: np.ndarray  # (batch, N)
 
     def logits(self, n_out: int) -> np.ndarray:
@@ -296,12 +296,17 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     return _forward(net, _check_batch(net, batch), _StepPlan(net, []).segments())
 
 
-def _forward(net: Network, batch: np.ndarray, segs: list) -> ForwardTrace:
+def _forward(net: Network, batch: np.ndarray, segs: list, x: np.ndarray | None = None) -> ForwardTrace:
+    """The forward pass of a checked batch through `segs`. Given `x`, a
+    (batch, n) buffer, it writes the activations there and keeps no
+    preactivations: the trace's u is None."""
     n, b = net.n, batch.shape[0]
     w = net.weights
-    u = np.empty((b, n))
-    x = np.empty((b, n))
-    u[:, : net.n_in] = batch
+    u = None
+    if x is None:
+        u = np.empty((b, n))
+        x = np.empty((b, n))
+        u[:, : net.n_in] = batch
     x[:, : net.n_in] = batch
     for s, e, walk, _ in segs:
         ub = x[:, :s] @ w[:s, s:e]
@@ -314,7 +319,8 @@ def _forward(net: Network, batch: np.ndarray, segs: list) -> ForwardTrace:
         for c in walk:
             ub[:, c] += x[:, s : s + c] @ w[s : s + c, s + c]
             np.maximum(ub[:, c], 0.0, out=x[:, s + c])
-        u[:, s:e] = ub
+        if u is not None:
+            u[:, s:e] = ub
     return ForwardTrace(u=u, x=x)
 
 
@@ -441,10 +447,21 @@ def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay:
 def predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarray:
     """Argmax class per row, evaluated in chunks."""
     batch = np.asarray(batch, dtype=np.float64)
-    out = np.empty(batch.shape[0], dtype=np.int64)
-    for s in range(0, batch.shape[0], batch_size):
+    if len(batch):
+        _check_batch(net, batch)
+    return _predict(net, batch, _StepPlan(net, []).segments(), batch_size)
+
+
+def _predict(net: Network, batch: np.ndarray, segs: list, batch_size: int = 512) -> np.ndarray:
+    """`predict` of a checked float64 batch through `segs`: every chunk runs
+    through one activation buffer."""
+    out = np.empty(len(batch), dtype=np.int64)
+    x = np.empty((min(batch_size, len(batch)), net.n))
+    for s in range(0, len(batch), batch_size):
         chunk = batch[s : s + batch_size]
-        out[s : s + len(chunk)] = np.argmax(forward(net, chunk).logits(net.n_out), axis=1)
+        xc = x[: len(chunk)]
+        _forward(net, chunk, segs, xc)
+        np.argmax(xc[:, net.hidden_end :], axis=1, out=out[s : s + len(chunk)])
     return out
 
 

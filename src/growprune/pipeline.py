@@ -14,13 +14,17 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
 
-from .data import Dataset, finite_numbers
-from .dimreduce import REDUCER_KINDS, Reducer, fit_reducer, normalize, reduce_dataset, shrink_architecture, transform, apply_normalization
+from .data import Dataset, _digit_tasks, _read_features, _text_tasks, _usable_cpus, finite_numbers
+from .dimreduce import REDUCER_KINDS, Reducer, _project, _rescale, fit_reducer, normalize, reduce_dataset, shrink_architecture
 from .energy import count_reducer_ops, estimate_energy, round_energy
 from .network import (
     Network,
@@ -30,8 +34,10 @@ from .network import (
     from_mlp,
     network_from_dict,
     predict,
+    _predict,
+    _StepPlan,
 )
-from .numerics import make_rng
+from .numerics import make_rng, one_blas_thread
 from .schemes import OptimizerConfig, SchemeConfig, run_scheme, summarize_run, train_weights, TrainingDiverged, _check_count
 
 log = logging.getLogger(__name__)
@@ -506,16 +512,32 @@ def load_bundle(path) -> tuple[dict, Network]:
     return bundle, net
 
 
-def bundle_apply_preprocess(bundle: dict, features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+def _preprocess_steps(bundle: dict) -> list:
+    """The bundle's preprocess steps as functions of a float64 row block.
+    They call only private functions, so the threads of `predict_features_file`
+    may run them: perfbench's tracer keeps one span stack per process."""
+    steps = []
     for step in bundle.get("preprocess", []):
         if step["op"] == "normalize":
-            x = apply_normalization(step, x)
+            lo, scale = (np.asarray(step[key], dtype=np.float64) for key in ("min", "scale"))
+            steps.append(partial(_rescale, lo=lo, scale=scale))
         elif step["op"] == "reduce":
-            x = transform(Reducer.from_dict(step["reducer"]), x)
+            steps.append(partial(_project, Reducer.from_dict(step["reducer"])))
         else:
             raise ValueError(f"unknown preprocess op: {step['op']}")
+    return steps
+
+
+def bundle_apply_preprocess(bundle: dict, features: np.ndarray) -> np.ndarray:
+    x = np.asarray(features, dtype=np.float64)
+    for step in _preprocess_steps(bundle):
+        x = step(x)
     return x
+
+
+def _raw_labels(bundle: dict, dense: np.ndarray) -> list:
+    inverse = {v: k for k, v in bundle["label_map"].items()}
+    return [inverse[v] for v in dense.tolist()]
 
 
 def bundle_predict(bundle: dict, raw_features: np.ndarray, net: Network) -> list:
@@ -524,6 +546,80 @@ def bundle_predict(bundle: dict, raw_features: np.ndarray, net: Network) -> list
     x = bundle_apply_preprocess(bundle, raw_features)
     if x.shape[1] != net.n_in:
         raise ValueError(f"feature width mismatch: network expects {net.n_in}")
-    dense = predict(net, x)
-    inverse = {v: k for k, v in bundle["label_map"].items()}
-    return [inverse[int(v)] for v in dense]
+    return _raw_labels(bundle, predict(net, x))
+
+
+def _input_width(bundle: dict, net: Network) -> int:
+    """Raw features a bundle that `load_bundle` accepted takes."""
+    steps = bundle["preprocess"]
+    if not steps:
+        return net.n_in
+    first = steps[0]
+    return len(first["min"]) if first["op"] == "normalize" else first["reducer"]["d"]
+
+
+def _in_order(fn, items: list, workers: int):
+    """fn of each item, yielded in order, run on `workers` threads with at
+    most two per thread in flight; closing the generator cancels the rest."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.ndarray | None:
+    """Dense labels of the row blocks that `tasks` return, joined in block
+    order; None if a task returns None (the digit-row reader refused its
+    block). A thread per usable CPU runs the tasks and the preprocess of their
+    blocks, and predicts its own block while OpenBLAS is held at one thread;
+    where it cannot be held, the calling thread predicts each block in turn
+    with BLAS's own threads."""
+    if not tasks:
+        return np.empty(0, dtype=np.int64)
+    width = _input_width(bundle, net)
+    if ncols != width:
+        raise ValueError(f"feature width mismatch: the bundle takes {width} features, the rows hold {ncols}")
+    steps, segs = _preprocess_steps(bundle), _StepPlan(net, []).segments()
+    workers = min(_usable_cpus(), len(tasks))
+
+    def work(task):
+        """The task's block preprocessed, and predicted where BLAS is held."""
+        x = task()
+        if x is None:
+            return None
+        for step in steps:
+            x = step(x)
+        return _predict(net, x, segs) if held else x
+
+    parts = []
+    with one_blas_thread() if workers > 1 else nullcontext(False) as held:
+        with closing(_in_order(work, tasks, workers)) as done:
+            for out in done:
+                if out is None:
+                    return None
+                parts.append(out if held else _predict(net, out, segs))
+    return np.concatenate(parts)
+
+
+def predict_features_file(bundle: dict, net: Network, path, delimiter: str = ",") -> list:
+    """Raw labels of the rows of a features file, read as `load_features_csv`
+    reads it, through the bundle's preprocess and `net` (as `load_bundle`
+    returns them), streamed over row blocks: the float matrix of digit text
+    is never held whole. Text the digit-row reader refuses goes through the
+    whole-file text readers, then through the same block stream."""
+    data = _read_features(path)
+    digit = _digit_tasks(data, delimiter)
+    dense = None if digit is None else _stream_labels(bundle, net, *digit)
+    if dense is None:
+        dense = _stream_labels(bundle, net, *_text_tasks(data, path, delimiter))
+    return _raw_labels(bundle, dense)

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -14,9 +15,10 @@ import pytest
 import growprune
 from growprune.cli import WORKERS_ENV, main
 from growprune.data import DataError, load_dataset, load_features_csv
-from growprune.network import MAX_CHECKPOINT_NEURONS, checkpoint_dict, depth, from_mlp, load_checkpoint
-from growprune.numerics import make_rng
-from growprune.pipeline import load_bundle, make_bundle
+from growprune.network import MAX_CHECKPOINT_NEURONS, _StepPlan, checkpoint_dict, depth, from_mlp, load_checkpoint
+from growprune.numerics import make_rng, one_blas_thread
+from growprune.pipeline import bundle_predict, load_bundle, make_bundle
+from conftest import random_dag
 from growprune.schemes import TrainingDiverged, run_scheme
 
 
@@ -744,6 +746,141 @@ def test_digit_reader_falls_back_on_a_short_fromstring_read(tmp_path, monkeypatc
     assert np.array_equal(got.view(np.int64), python_floats(text).view(np.int64))
 
 
+def net_bundle(tmp_path, net, preprocess=()):
+    """A bundle of `net` with the given preprocess steps, labels c0, c1, ..."""
+    labels = {f"c{i}": i for i in range(net.n_out)}
+    p = tmp_path / "bundle.json"
+    p.write_text(json.dumps(make_bundle(checkpoint_dict(net, seed=0), labels, preprocess=list(preprocess), metrics={})))
+    return p
+
+
+def walking_dag(n_in):
+    net = random_dag(make_rng(11), n_in=n_in, n_hidden=10, n_out=3)
+    assert any(len(walk) for _, _, walk, _ in _StepPlan(net, []).segments())
+    return net
+
+
+PIXELS_8 = {"op": "normalize", "min": [0.0] * 8, "scale": [1 / 255] * 8}
+STREAM_BUNDLES = {  # name: (raw feature count, bundle writer)
+    "mlp": (8, lambda tmp_path: net_bundle(tmp_path, from_mlp([8, 6, 3], make_rng(10)), [PIXELS_8])),
+    "walking_dag": (8, lambda tmp_path: net_bundle(tmp_path, walking_dag(8), [PIXELS_8])),
+    "reduce": (5, lambda tmp_path: net_bundle(tmp_path, from_mlp([3, 4, 2], make_rng(12)), [NORMALIZE_5, PCA_STEP])),
+}
+
+
+def pixel_rows(seed, n_rows, n_cols):
+    return "".join(",".join(map(str, row)) + "\n" for row in make_rng(seed).integers(0, 256, (n_rows, n_cols)).tolist())
+
+
+@pytest.fixture
+def stream(monkeypatch):
+    """Blocks of 256 bytes on two workers; records the (blocks, workers) of
+    each stream and, per prediction, whether it ran on the main thread and
+    OpenBLAS's thread count (None without a setter)."""
+    monkeypatch.setattr(growprune.data, "_BLOCK_BYTES", 256)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = {"runs": [], "main_thread": [], "blas_threads": []}
+    in_order, predict = growprune.pipeline._in_order, growprune.pipeline._predict
+
+    def record_run(fn, items, workers):
+        seen["runs"].append((len(items), workers))
+        return in_order(fn, items, workers)
+
+    def record_predict(*args):
+        calls = growprune.numerics._blas_thread_calls()
+        seen["main_thread"].append(threading.current_thread() is threading.main_thread())
+        seen["blas_threads"].append(calls and calls[1]())
+        return predict(*args)
+
+    monkeypatch.setattr(growprune.pipeline, "_in_order", record_run)
+    monkeypatch.setattr(growprune.pipeline, "_predict", record_predict)
+    return seen
+
+
+def infer_rows(tmp_path, bundle, text):
+    feats = tmp_path / "rows.csv"
+    feats.write_text(text)
+    out = tmp_path / "p.txt"
+    return main(["infer", "--bundle", str(bundle), "--features", str(feats), "--out", str(out)]), feats, out
+
+
+def loaded_labels(bundle, feats):
+    b, net = load_bundle(bundle)
+    return bundle_predict(b, load_features_csv(feats), net)
+
+
+@pytest.mark.parametrize("width, make", STREAM_BUNDLES.values(), ids=STREAM_BUNDLES.keys())
+@pytest.mark.parametrize("tail", ["", "1.5"], ids=["digits", "float_in_last_block"])
+def test_infer_stream_labels_equal_bundle_predict(tmp_path, stream, width, make, tail):
+    bundle = make(tmp_path)
+    text = pixel_rows(13, 150, width) + (",".join([tail] * width) + "\n" if tail else "")
+    rc, feats, out = infer_rows(tmp_path, bundle, text)
+    assert rc == 0
+    assert feats.stat().st_size > 3 * growprune.data._BLOCK_BYTES
+    assert out.read_text() == "".join(f"{v}\n" for v in loaded_labels(bundle, feats))
+    assert stream["runs"][-1][0] >= 3 and stream["runs"][-1][1] == 2
+    if growprune.numerics._blas_thread_calls() is not None:
+        assert stream["main_thread"] and not any(stream["main_thread"])
+
+
+def test_infer_without_a_blas_setter_predicts_on_the_calling_thread(tmp_path, stream, monkeypatch):
+    bundle = STREAM_BUNDLES["mlp"][1](tmp_path)
+    text = pixel_rows(14, 150, 8)
+    rc, feats, out = infer_rows(tmp_path, bundle, text)
+    assert rc == 0
+    held = out.read_bytes()
+    monkeypatch.setattr(growprune.numerics, "_blas_thread_calls", lambda: None)
+    stream["main_thread"].clear()
+    assert infer_rows(tmp_path, bundle, text)[0] == 0
+    assert out.read_bytes() == held == "".join(f"{v}\n" for v in loaded_labels(bundle, feats)).encode()
+    assert stream["runs"][-1][0] >= 3 and stream["main_thread"] and all(stream["main_thread"])
+
+
+def test_infer_restores_the_blas_thread_count(tmp_path, stream):
+    calls = growprune.numerics._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+    _, get, set_ = calls
+    before = get()
+    try:
+        set_(3)
+        assert run_infer(tmp_path, write_bundle(tmp_path), integer_rows(make_rng(15), 120, 3)) == 0
+        assert set(stream["blas_threads"]) == {1} and get() == 3
+        with pytest.raises(RuntimeError, match="inside"):
+            with one_blas_thread() as held:
+                assert held and get() == 1
+                raise RuntimeError("inside")
+        assert get() == 3
+    finally:
+        set_(before)
+
+
+@pytest.mark.parametrize("bad", ["1,2", "1,x,3", "1,,3"], ids=["ragged", "x", "empty_field"])
+def test_infer_bad_row_in_the_last_block_names_its_global_row(tmp_path, capsys, stream, bad):
+    text = integer_rows(make_rng(8), 120, 3) + bad + "\n"
+    rc, feats, out = infer_rows(tmp_path, write_bundle(tmp_path), text)
+    assert rc == 3
+    with pytest.raises(DataError, match=r"row 120\b") as today:
+        load_features_csv(feats)
+    assert capsys.readouterr().err == f"data error: {today.value}\n"
+    assert not out.exists()
+
+
+def test_infer_width_mismatch_exits_before_any_block_is_predicted(tmp_path, capsys, stream):
+    rc, _, out = infer_rows(tmp_path, write_bundle(tmp_path), integer_rows(make_rng(16), 120, 4))
+    assert rc == 3
+    assert "takes 3 features, the rows hold 4" in capsys.readouterr().err
+    assert stream["main_thread"] == [] and not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "1,2,3\n"], ids=["empty", "one_row"])
+def test_infer_empty_and_one_row_files(tmp_path, capsys, stream, text):
+    rc, feats, out = infer_rows(tmp_path, write_bundle(tmp_path), text)
+    labels = loaded_labels(tmp_path / "bundle.json", feats) if text else []
+    assert rc == 0 and out.read_text() == "".join(f"{v}\n" for v in labels)
+    assert capsys.readouterr().out == f"{len(labels)} predictions -> {out}\n"
+
+
 def with_step(step):
     return lambda m: m["scheme"].update(steps=[step, {"op": "train"}])
 
@@ -827,6 +964,15 @@ def test_manifest_errors_are_usage_errors_before_any_output(tmp_path, capsys, co
     edit(manifest)
     assert main([command, "--manifest", write_manifest(tmp_path, manifest), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", [0, -3, 12, 50])
+def test_sweep_k_outside_the_features_is_usage_error(tmp_path, capsys, k):
+    out = tmp_path / "o"
+    assert main(["sweep", "--manifest", write_manifest(tmp_path, sweep_manifest(out)), "--k", str(k)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --k ") and f"got {k}" in err and "12 features" in err
     assert not out.exists()
 
 

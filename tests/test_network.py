@@ -18,6 +18,7 @@ from growprune.network import (
     load_checkpoint,
     loss_and_gradients,
     network_from_dict,
+    predict,
     prune_isolated_neurons,
     save_checkpoint,
     _StepPlan,
@@ -59,6 +60,16 @@ def test_forward_relu_chain():
 def test_forward_width_mismatch():
     with pytest.raises(ValueError, match="expected 3 inputs"):
         forward(Network(3, 1, 1), np.ones((2, 4)))
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513])
+@pytest.mark.parametrize("kind", ["mlp", "walking_dag"])
+def test_predict_is_the_argmax_of_forward(rows, kind):
+    rng = make_rng(rows)
+    net = from_mlp([6, 9, 4], rng) if kind == "mlp" else random_dag(rng, n_in=6, n_hidden=10, n_out=4)
+    assert any(len(walk) for _, _, walk, _ in _StepPlan(net, []).segments()) == (kind == "walking_dag")
+    x = rng.normal(size=(rows, 6))
+    assert np.array_equal(predict(net, x), np.argmax(forward(net, x).logits(net.n_out), axis=1))
 
 
 def test_forward_matches_per_neuron_oracle(rng):
