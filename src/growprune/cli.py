@@ -455,7 +455,15 @@ def cmd_infer(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out_path = Path(args.out) if args.out else Path(args.features).with_suffix(".predictions.txt")
-    out_path.write_text("".join(f"{v}\n" for v in labels))
+    # written whole or not at all: an earlier predictions file survives a failed or interrupted write
+    tmp = out_path.with_name(f".{out_path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as f:
+            f.writelines(f"{v}\n" for v in labels)
+        os.replace(tmp, out_path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     print(f"{len(labels)} predictions -> {out_path}")
     return EXIT_OK
 

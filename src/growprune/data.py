@@ -14,8 +14,9 @@ import os
 import struct
 import zipfile
 import zlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -153,6 +154,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _in_order(fn, items: list):
+    """fn of each item, yielded in order. Given two or more items and usable
+    CPUs, a thread per usable CPU, but no more than there are items, runs
+    them with at most two per thread in flight; otherwise the calling thread
+    does. Closing the generator cancels the rest. The threads may call only
+    private functions, because perfbench's tracer keeps one span stack per
+    process."""
+    workers = min(_usable_cpus(), len(items))
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _digit_block_rows(block: np.ndarray, sep: int, ncols: int) -> int | None:
     """The row count of `block`, the bytes of whole rows joined by newlines,
     if each row holds `ncols` non-empty fields of ASCII digits between `sep`
@@ -192,10 +217,11 @@ def _parse_digit_block(block: np.ndarray, out: np.ndarray, delimiter: str) -> bo
     return True
 
 
-def _digit_blocks(data: bytes, delimiter: str) -> tuple[list[np.ndarray], int] | None:
+def _digit_blocks(data: bytes, delimiter: str) -> tuple[list[np.ndarray], int, int] | None:
     """`data` cut at row ends into blocks of about _BLOCK_BYTES for the
-    digit-row reader, with the field count of its first row; None for a
-    delimiter that reader does not take."""
+    digit-row reader, with the field count of its first row and the row
+    count of its first block; None for a delimiter that reader does not take
+    or a first block it refuses, so that other text costs one block."""
     if len(delimiter) != 1 or delimiter.isdigit() or not (delimiter == "\t" or " " <= delimiter <= "~"):
         return None
     end = len(data) - data.endswith(b"\n")
@@ -207,37 +233,34 @@ def _digit_blocks(data: bytes, delimiter: str) -> tuple[list[np.ndarray], int] |
         stop = data.find(b"\n", start + _BLOCK_BYTES, end)
         blocks.append(view[start : end if stop < 0 else stop])
         if stop < 0:
-            return blocks, ncols
+            break
         start = stop + 1
+    rows = _digit_block_rows(blocks[0], ord(delimiter), ncols)
+    return None if rows is None else (blocks, ncols, rows)
 
 
 def _digit_rows(data: bytes, delimiter: str) -> np.ndarray | None:
     """`data` as a float64 matrix if it holds only rows of non-negative
     decimal integers below 10**18, fields split by a one-byte `delimiter`
     and rows by newlines (the last one optional), every row as wide as the
-    first; None for any other text. A thread per usable CPU checks and
-    parses the blocks of `_digit_blocks`; the first block is checked alone
-    first, so other text costs one block."""
+    first; None for any other text. `_in_order` checks the blocks of
+    `_digit_blocks` after the first, then parses each into its rows of one
+    matrix."""
     cut = _digit_blocks(data, delimiter)
     if cut is None:
         return None
-    blocks, ncols = cut
-    check = partial(_digit_block_rows, sep=ord(delimiter), ncols=ncols)
-    rows = [check(blocks[0])]
-    if rows[0] is None:
-        return None
-    workers = min(_usable_cpus(), len(blocks))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        each = pool.map if pool else map
-        rows += each(check, blocks[1:])
-        if None in rows:
-            return None
-        x = np.empty((sum(rows), ncols))
-        bounds = np.cumsum([0, *rows]).tolist()
-        parts = [x[a:b] for a, b in zip(bounds, bounds[1:])]
-        if not all(list(each(partial(_parse_digit_block, delimiter=delimiter), blocks, parts))):
-            return None
-    return x
+    blocks, ncols, first = cut
+    rows = [first]
+    with closing(_in_order(partial(_digit_block_rows, sep=ord(delimiter), ncols=ncols), blocks[1:])) as checked:
+        for n in checked:
+            if n is None:
+                return None
+            rows.append(n)
+    x = np.empty((sum(rows), ncols))
+    bounds = np.cumsum([0, *rows]).tolist()
+    jobs = [(block, x[a:b]) for block, a, b in zip(blocks, bounds, bounds[1:])]
+    with closing(_in_order(lambda job: _parse_digit_block(*job, delimiter), jobs)) as parsed:
+        return x if all(parsed) else None
 
 
 def _digit_block_matrix(block: np.ndarray, rows: int | None, ncols: int, delimiter: str) -> np.ndarray | None:
@@ -254,16 +277,20 @@ def _digit_block_matrix(block: np.ndarray, rows: int | None, ncols: int, delimit
 def _digit_tasks(data: bytes, delimiter: str) -> tuple[int, list] | None:
     """What the digit-row reader would read of `data`, as its column count and
     one function per block that returns the block's rows as a float64 matrix,
-    or None where the reader refuses that block. The first block is checked
-    here, and the result is None if the reader refuses it."""
+    or None where the reader refuses that block; None if the reader refuses
+    the first block."""
     cut = _digit_blocks(data, delimiter)
     if cut is None:
         return None
-    blocks, ncols = cut
-    rows = _digit_block_rows(blocks[0], ord(delimiter), ncols)
-    if rows is None:
-        return None
-    return ncols, [partial(_digit_block_matrix, b, rows if i == 0 else None, ncols, delimiter) for i, b in enumerate(blocks)]
+    blocks, ncols, first = cut
+    return ncols, [partial(_digit_block_matrix, b, first if i == 0 else None, ncols, delimiter) for i, b in enumerate(blocks)]
+
+
+def _row_blocks(x: np.ndarray) -> list:
+    """One function per block of about _BLOCK_BYTES of the rows of the matrix
+    `x` that returns those rows."""
+    step = max(1, _BLOCK_BYTES // (x.itemsize * max(1, x.shape[1])))
+    return [partial(x.__getitem__, slice(a, a + step)) for a in range(0, len(x), step)]
 
 
 def _parse_rows(lines: list[str], delimiter: str) -> np.ndarray:
@@ -298,14 +325,6 @@ def _text_rows(data: bytes, path, delimiter: str) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     del text
     return _parse_rows(lines, delimiter) if lines else np.zeros((0, 0))
-
-
-def _text_tasks(data: bytes, path, delimiter: str) -> tuple[int, list]:
-    """`_text_rows` as its column count and one function per block of about
-    _BLOCK_BYTES of float64 that returns those rows."""
-    x = _text_rows(data, path, delimiter)
-    step = max(1, _BLOCK_BYTES // (8 * max(1, x.shape[1])))
-    return x.shape[1], [partial(x.__getitem__, slice(a, a + step)) for a in range(0, len(x), step)]
 
 
 def load_features_csv(path, delimiter: str = ",") -> np.ndarray:

@@ -35,11 +35,6 @@ def normalize(dataset: Dataset) -> Dataset:
     )
 
 
-def apply_normalization(params: dict, features: np.ndarray) -> np.ndarray:
-    lo = np.asarray(params["min"], dtype=np.float64)
-    return _rescale(features, lo, np.asarray(params["scale"], dtype=np.float64))
-
-
 def _rescale(features: np.ndarray, lo: np.ndarray, scale: np.ndarray) -> np.ndarray:
     # one new array, scaled in place; the caller's features stay untouched
     out = np.subtract(features, lo)

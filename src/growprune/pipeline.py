@@ -14,8 +14,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -23,7 +21,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .data import Dataset, _digit_tasks, _read_features, _text_tasks, _usable_cpus, finite_numbers
+from .data import Dataset, _digit_tasks, _in_order, _read_features, _row_blocks, _text_rows, _usable_cpus, finite_numbers
 from .dimreduce import REDUCER_KINDS, Reducer, _project, _rescale, fit_reducer, normalize, reduce_dataset, shrink_architecture
 from .energy import count_reducer_ops, estimate_energy, round_energy
 from .network import (
@@ -33,7 +31,6 @@ from .network import (
     connection_count,
     from_mlp,
     network_from_dict,
-    predict,
     _predict,
     _StepPlan,
 )
@@ -513,9 +510,7 @@ def load_bundle(path) -> tuple[dict, Network]:
 
 
 def _preprocess_steps(bundle: dict) -> list:
-    """The bundle's preprocess steps as functions of a float64 row block.
-    They call only private functions, so the threads of `predict_features_file`
-    may run them: perfbench's tracer keeps one span stack per process."""
+    """The bundle's preprocess steps as functions of a float64 row block."""
     steps = []
     for step in bundle.get("preprocess", []):
         if step["op"] == "normalize":
@@ -540,43 +535,6 @@ def _raw_labels(bundle: dict, dense: np.ndarray) -> list:
     return [inverse[v] for v in dense.tolist()]
 
 
-def bundle_predict(bundle: dict, raw_features: np.ndarray, net: Network) -> list:
-    """Raw features -> raw labels through the stored preprocess and `net`,
-    the bundle's network (as `load_bundle` returns it)."""
-    x = bundle_apply_preprocess(bundle, raw_features)
-    if x.shape[1] != net.n_in:
-        raise ValueError(f"feature width mismatch: network expects {net.n_in}")
-    return _raw_labels(bundle, predict(net, x))
-
-
-def _input_width(bundle: dict, net: Network) -> int:
-    """Raw features a bundle that `load_bundle` accepted takes."""
-    steps = bundle["preprocess"]
-    if not steps:
-        return net.n_in
-    first = steps[0]
-    return len(first["min"]) if first["op"] == "normalize" else first["reducer"]["d"]
-
-
-def _in_order(fn, items: list, workers: int):
-    """fn of each item, yielded in order, run on `workers` threads with at
-    most two per thread in flight; closing the generator cancels the rest."""
-    if workers == 1:
-        yield from map(fn, items)
-        return
-    pool = ThreadPoolExecutor(workers)
-    try:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.ndarray | None:
     """Dense labels of the row blocks that `tasks` return, joined in block
     order; None if a task returns None (the digit-row reader refused its
@@ -586,11 +544,11 @@ def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.nd
     with BLAS's own threads."""
     if not tasks:
         return np.empty(0, dtype=np.int64)
-    width = _input_width(bundle, net)
+    stored = bundle["preprocess"]
+    width = _step_widths(stored[0])[0] if stored else net.n_in
     if ncols != width:
         raise ValueError(f"feature width mismatch: the bundle takes {width} features, the rows hold {ncols}")
     steps, segs = _preprocess_steps(bundle), _StepPlan(net, []).segments()
-    workers = min(_usable_cpus(), len(tasks))
 
     def work(task):
         """The task's block preprocessed, and predicted where BLAS is held."""
@@ -602,8 +560,9 @@ def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.nd
         return _predict(net, x, segs) if held else x
 
     parts = []
-    with one_blas_thread() if workers > 1 else nullcontext(False) as held:
-        with closing(_in_order(work, tasks, workers)) as done:
+    # held exactly when `_in_order` runs the tasks on threads of its own
+    with one_blas_thread() if min(_usable_cpus(), len(tasks)) > 1 else nullcontext(False) as held:
+        with closing(_in_order(work, tasks)) as done:
             for out in done:
                 if out is None:
                     return None
@@ -611,15 +570,26 @@ def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.nd
     return np.concatenate(parts)
 
 
+def bundle_predict(bundle: dict, raw_features: np.ndarray, net: Network) -> list:
+    """Raw labels of the rows of a matrix of raw features through the
+    bundle's preprocess and `net` (as `load_bundle` returns them): the stream
+    of `predict_features_file` over row blocks of the matrix."""
+    x = np.asarray(raw_features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"raw features must form a 2-D matrix, got shape {x.shape}")
+    return _raw_labels(bundle, _stream_labels(bundle, net, x.shape[1], _row_blocks(x)))
+
+
 def predict_features_file(bundle: dict, net: Network, path, delimiter: str = ",") -> list:
-    """Raw labels of the rows of a features file, read as `load_features_csv`
-    reads it, through the bundle's preprocess and `net` (as `load_bundle`
-    returns them), streamed over row blocks: the float matrix of digit text
-    is never held whole. Text the digit-row reader refuses goes through the
-    whole-file text readers, then through the same block stream."""
+    """Raw labels of the rows of a features file, one per non-blank line,
+    through the bundle's preprocess and `net` (as `load_bundle` returns
+    them), streamed over row blocks: the float matrix of digit text is never
+    held whole. Text the digit-row reader refuses is read whole by the text
+    readers, with their messages and row numbers, and goes to
+    `bundle_predict`."""
     data = _read_features(path)
     digit = _digit_tasks(data, delimiter)
     dense = None if digit is None else _stream_labels(bundle, net, *digit)
     if dense is None:
-        dense = _stream_labels(bundle, net, *_text_tasks(data, path, delimiter))
+        return bundle_predict(bundle, _text_rows(data, path, delimiter), net)
     return _raw_labels(bundle, dense)

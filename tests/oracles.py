@@ -235,3 +235,42 @@ def rescan_candidates(rows, baseline_acc):
 def closed_form_mlp_energy(d, h, c, e_mac=11.8e-12, e_sram=34.6e-12, e_cmp=6.16e-15):
     macs = d * h + h * c
     return macs * (e_mac + 2 * e_sram) + h * e_cmp
+
+
+def dense_bundle_labels(bundle, raw_rows):
+    """Raw labels of `raw_rows` under a bundle dict, evaluated densely: each
+    preprocess step in plain numpy (normalize, a PCA reduce, a
+    random-projection reduce), then every neuron in Kahn order of the
+    checkpoint's weight triples, then the argmax logit through the label map."""
+    x = np.asarray(raw_rows, dtype=np.float64)
+    for step in bundle["preprocess"]:
+        if step["op"] == "normalize":
+            x = (x - np.array(step["min"])) * np.array(step["scale"])
+        elif step["reducer"]["kind"] == "pca":
+            x = (x - np.array(step["reducer"]["mean"])) @ np.array(step["reducer"]["components"])
+        else:
+            x = x @ np.array(step["reducer"]["matrix"])
+    ck = bundle["checkpoint"]
+    n_in, n_hidden, n_out = ck["n_in"], ck["n_hidden"], ck["n_out"]
+    n = n_in + n_hidden + n_out
+    incoming = [[] for _ in range(n)]
+    outgoing = [[] for _ in range(n)]
+    for i, j, w in ck["weights"]:
+        incoming[j].append((i, w))
+        outgoing[i].append(j)
+    waiting = [len(edges) for edges in incoming]
+    ready = [v for v in range(n) if not waiting[v]]
+    values = np.zeros((len(x), n))
+    while ready:
+        v = ready.pop()
+        if v < n_in:
+            values[:, v] = x[:, v]
+        else:
+            u = ck["bias"][v - n_in] + sum(values[:, i] * w for i, w in incoming[v])
+            values[:, v] = np.maximum(u, 0.0) if v < n_in + n_hidden else u
+        for j in outgoing[v]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                ready.append(j)
+    inverse = {v: k for k, v in bundle["label_map"].items()}
+    return [inverse[int(c)] for c in np.argmax(values[:, n_in + n_hidden :], axis=1)]

@@ -1,6 +1,9 @@
 import csv
+import functools
+import importlib
 import json
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -19,6 +22,7 @@ from growprune.network import MAX_CHECKPOINT_NEURONS, _StepPlan, checkpoint_dict
 from growprune.numerics import make_rng, one_blas_thread
 from growprune.pipeline import bundle_predict, load_bundle, make_bundle
 from conftest import random_dag
+from oracles import dense_bundle_labels
 from growprune.schemes import TrainingDiverged, run_scheme
 
 
@@ -760,11 +764,13 @@ def walking_dag(n_in):
     return net
 
 
+RP_STEP = {"op": "reduce", "reducer": {"kind": "rp_gauss_scaled", "d": 5, "k": 3, "matrix": make_rng(20).normal(size=(5, 3)).tolist()}}
 PIXELS_8 = {"op": "normalize", "min": [0.0] * 8, "scale": [1 / 255] * 8}
 STREAM_BUNDLES = {  # name: (raw feature count, bundle writer)
     "mlp": (8, lambda tmp_path: net_bundle(tmp_path, from_mlp([8, 6, 3], make_rng(10)), [PIXELS_8])),
     "walking_dag": (8, lambda tmp_path: net_bundle(tmp_path, walking_dag(8), [PIXELS_8])),
     "reduce": (5, lambda tmp_path: net_bundle(tmp_path, from_mlp([3, 4, 2], make_rng(12)), [NORMALIZE_5, PCA_STEP])),
+    "random_projection": (5, lambda tmp_path: net_bundle(tmp_path, from_mlp([3, 5, 2], make_rng(19)), [NORMALIZE_5, RP_STEP])),
 }
 
 
@@ -774,17 +780,22 @@ def pixel_rows(seed, n_rows, n_cols):
 
 @pytest.fixture
 def stream(monkeypatch):
-    """Blocks of 256 bytes on two workers; records the (blocks, workers) of
-    each stream and, per prediction, whether it ran on the main thread and
-    OpenBLAS's thread count (None without a setter)."""
+    """Blocks of 256 bytes on two usable CPUs; records the item count of each
+    stream, the worker count of each thread pool and, per prediction, whether
+    it ran on the main thread and OpenBLAS's thread count (None without a
+    setter)."""
     monkeypatch.setattr(growprune.data, "_BLOCK_BYTES", 256)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    seen = {"runs": [], "main_thread": [], "blas_threads": []}
-    in_order, predict = growprune.pipeline._in_order, growprune.pipeline._predict
+    seen = {"runs": [], "pools": [], "main_thread": [], "blas_threads": []}
+    in_order, pool, predict = growprune.pipeline._in_order, growprune.data.ThreadPoolExecutor, growprune.pipeline._predict
 
-    def record_run(fn, items, workers):
-        seen["runs"].append((len(items), workers))
-        return in_order(fn, items, workers)
+    def record_run(fn, items):
+        seen["runs"].append(len(items))
+        return in_order(fn, items)
+
+    def record_pool(workers):
+        seen["pools"].append(workers)
+        return pool(workers)
 
     def record_predict(*args):
         calls = growprune.numerics._blas_thread_calls()
@@ -793,6 +804,7 @@ def stream(monkeypatch):
         return predict(*args)
 
     monkeypatch.setattr(growprune.pipeline, "_in_order", record_run)
+    monkeypatch.setattr(growprune.data, "ThreadPoolExecutor", record_pool)
     monkeypatch.setattr(growprune.pipeline, "_predict", record_predict)
     return seen
 
@@ -804,9 +816,10 @@ def infer_rows(tmp_path, bundle, text):
     return main(["infer", "--bundle", str(bundle), "--features", str(feats), "--out", str(out)]), feats, out
 
 
-def loaded_labels(bundle, feats):
-    b, net = load_bundle(bundle)
-    return bundle_predict(b, load_features_csv(feats), net)
+def oracle_predictions(bundle, text):
+    """The predictions file the parse and serving oracles give for `text`."""
+    labels = dense_bundle_labels(json.loads(Path(bundle).read_text()), python_floats(text)) if text else []
+    return "".join(f"{v}\n" for v in labels)
 
 
 @pytest.mark.parametrize("width, make", STREAM_BUNDLES.values(), ids=STREAM_BUNDLES.keys())
@@ -817,8 +830,10 @@ def test_infer_stream_labels_equal_bundle_predict(tmp_path, stream, width, make,
     rc, feats, out = infer_rows(tmp_path, bundle, text)
     assert rc == 0
     assert feats.stat().st_size > 3 * growprune.data._BLOCK_BYTES
-    assert out.read_text() == "".join(f"{v}\n" for v in loaded_labels(bundle, feats))
-    assert stream["runs"][-1][0] >= 3 and stream["runs"][-1][1] == 2
+    assert out.read_text() == oracle_predictions(bundle, text)
+    b, net = load_bundle(bundle)
+    assert bundle_predict(b, python_floats(text), net) == out.read_text().split()
+    assert stream["runs"][-1] >= 3 and stream["pools"][-1] == 2
     if growprune.numerics._blas_thread_calls() is not None:
         assert stream["main_thread"] and not any(stream["main_thread"])
 
@@ -832,8 +847,8 @@ def test_infer_without_a_blas_setter_predicts_on_the_calling_thread(tmp_path, st
     monkeypatch.setattr(growprune.numerics, "_blas_thread_calls", lambda: None)
     stream["main_thread"].clear()
     assert infer_rows(tmp_path, bundle, text)[0] == 0
-    assert out.read_bytes() == held == "".join(f"{v}\n" for v in loaded_labels(bundle, feats)).encode()
-    assert stream["runs"][-1][0] >= 3 and stream["main_thread"] and all(stream["main_thread"])
+    assert out.read_bytes() == held == oracle_predictions(bundle, text).encode()
+    assert stream["runs"][-1] >= 3 and stream["main_thread"] and all(stream["main_thread"])
 
 
 def test_infer_restores_the_blas_thread_count(tmp_path, stream):
@@ -876,9 +891,75 @@ def test_infer_width_mismatch_exits_before_any_block_is_predicted(tmp_path, caps
 @pytest.mark.parametrize("text", ["", "1,2,3\n"], ids=["empty", "one_row"])
 def test_infer_empty_and_one_row_files(tmp_path, capsys, stream, text):
     rc, feats, out = infer_rows(tmp_path, write_bundle(tmp_path), text)
-    labels = loaded_labels(tmp_path / "bundle.json", feats) if text else []
-    assert rc == 0 and out.read_text() == "".join(f"{v}\n" for v in labels)
-    assert capsys.readouterr().out == f"{len(labels)} predictions -> {out}\n"
+    assert rc == 0 and out.read_text() == oracle_predictions(tmp_path / "bundle.json", text)
+    assert capsys.readouterr().out == f"{len(text.split())} predictions -> {out}\n"
+
+
+def test_bundle_predict_edge_cases_match_infer(tmp_path, stream):
+    b, net = load_bundle(STREAM_BUNDLES["reduce"][1](tmp_path))
+    with pytest.raises(ValueError, match="the bundle takes 5 features, the rows hold 4"):
+        bundle_predict(b, np.zeros((3, 4)), net)
+    assert bundle_predict(b, np.zeros((0, 0)), net) == []
+    for shape in [(5,), (2, 3, 5), ()]:
+        with pytest.raises(ValueError, match="2-D"):
+            bundle_predict(b, np.zeros(shape), net)
+    assert stream["main_thread"] == []
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_infer_failed_write_keeps_the_earlier_predictions(tmp_path, monkeypatch, error):
+    bundle = write_bundle(tmp_path)
+    assert run_infer(tmp_path, bundle, "1,2,3\n0,0,0\n") == 0
+    before, files = (tmp_path / "p.txt").read_bytes(), sorted(tmp_path.iterdir())
+
+    class Unwritable:
+        def __format__(self, spec):
+            raise error("write failed")
+
+    # the file is opened and the first labels written before the write fails
+    monkeypatch.setattr(growprune.cli, "predict_features_file", lambda *args: ["new", Unwritable()])
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            run_infer(tmp_path, bundle, "1,2,3\n")
+    else:
+        assert run_infer(tmp_path, bundle, "1,2,3\n") == 4
+    assert (tmp_path / "p.txt").read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == files
+
+
+def test_public_functions_run_only_on_the_main_thread(tmp_path, monkeypatch, stream):
+    """perfbench's tracer wraps the public functions and keeps one span stack
+    per process, so the threads of infer and of the digit-row reader may call
+    only private functions."""
+    calls = []
+
+    def recorder(name, fn):
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    modules = [importlib.import_module(f"growprune.{m.name}") for m in pkgutil.iter_modules(growprune.__path__)]
+    wrapped = {}
+    for mod in modules:
+        for attr, fn in vars(mod).items():
+            if not attr.startswith("_") and callable(fn) and not isinstance(fn, type):
+                if getattr(fn, "__module__", None) == mod.__name__:
+                    wrapped[id(fn)] = (fn, recorder(f"{mod.__name__}.{attr}", fn))
+    for mod in [growprune, *modules]:
+        for attr, value in list(vars(mod).items()):
+            if id(value) in wrapped and wrapped[id(value)][0] is value:
+                monkeypatch.setattr(mod, attr, wrapped[id(value)][1])
+    rc, feats, _ = infer_rows(tmp_path, STREAM_BUNDLES["reduce"][1](tmp_path), pixel_rows(17, 150, 5))
+    assert rc == 0
+    feats.write_text(integer_rows(make_rng(18), 120, 6))
+    assert growprune.data.load_features_csv(feats).shape == (120, 6)
+    assert stream["pools"] == [2, 2, 2]  # the stream, then the reader's block checks and parses
+    names = {name for name, _ in calls}
+    assert {"growprune.pipeline.predict_features_file", "growprune.data.load_features_csv"} <= names
+    assert [name for name, main_thread in calls if not main_thread] == []
 
 
 def with_step(step):

@@ -6,7 +6,6 @@ import pytest
 from growprune.data import Dataset, make_blobs, split
 from growprune.dimreduce import (
     Reducer,
-    apply_normalization,
     fit_reducer,
     normalize,
     reduce_dataset,
@@ -14,6 +13,7 @@ from growprune.dimreduce import (
     transform,
 )
 from growprune.numerics import make_rng
+from growprune.pipeline import bundle_apply_preprocess
 from oracles import pairwise_sq_dists
 
 
@@ -45,9 +45,10 @@ def test_normalize_out_of_range_passes_unclamped():
     base.splits = {"train": np.arange(3), "val": np.arange(0), "test": np.array([3])}
     ds = normalize(base)
     assert ds.features[3, 0] == 5.0  # (10 - 0) / 2, outside [0, 1]
-    # stored params replay identically, and leave the caller's array alone
+    # stored params replay identically through a bundle's normalize step,
+    # and leave the caller's array alone
     before = base.features.copy()
-    again = apply_normalization(ds.normalization, base.features)
+    again = bundle_apply_preprocess({"preprocess": [{"op": "normalize", **ds.normalization}]}, base.features)
     assert np.array_equal(again, ds.features)
     assert np.array_equal(base.features, before)
 

@@ -24,7 +24,7 @@ from growprune.pipeline import (
     synthesize_from_candidates,
 )
 from growprune.schemes import OptimizerConfig, run_scheme
-from oracles import rescan_candidates
+from oracles import dense_bundle_labels, rescan_candidates
 
 FAST_OPT = dict(kind="adam", learning_rate=0.01, weight_decay=1e-3, epochs_per_iteration=12)
 
@@ -256,6 +256,8 @@ def test_run_pipeline_end_to_end_and_bundle_replay(tmp_path):
     bundle, net = load_bundle(path)
     raw_val = ds.features[ds.splits["val"]]
     preds = bundle_predict(bundle, raw_val, net)
+    assert preds == dense_bundle_labels(bundle, raw_val)
+    assert {step["op"] for step in bundle["preprocess"]} == {"normalize", "reduce"}
     acc = float(np.mean([int(p) == int(y) for p, y in zip(preds, ds.labels[ds.splits["val"]])]))
     assert acc == bundle["metrics"]["val_acc"]
 
