@@ -273,31 +273,41 @@ def prune_connections(net: Network, policy: PrunePolicy) -> Network:
     form keeps exactly `budget` largest-|w| connections, breaking ties by
     (i, j) lexicographic order.
     """
+    drop = _pruned_pairs(net, policy)
+    if drop is None:
+        return net
+    net.mask[drop] = False
+    net.weights[drop] = 0.0
+    # the selection's index arrays (~16 MB at 400,000 active connections)
+    # are freed before prune_isolated_neurons copies the mask and weights
+    del drop
+    prune_isolated_neurons(net)
+    return net
+
+
+def _pruned_pairs(net: Network, policy: PrunePolicy) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rows and columns of the connections `policy` deactivates, or None when
+    a budget keeps every active one."""
     ii, jj = np.nonzero(net.mask)
     n_active = ii.size
     if policy.threshold is not None:
         drop = np.abs(net.weights[ii, jj]) < policy.threshold
-        di, dj = ii[drop], jj[drop]
-    else:
-        if policy.budget >= n_active:
-            if policy.budget > n_active:
-                log.info(
-                    "prune budget %d exceeds %d active connections, nothing to do",
-                    policy.budget,
-                    n_active,
-                )
-            return net
-        # keep every magnitude above the budget-th largest, then that value's
-        # ties in (i, j) order, which np.nonzero already follows
-        mags = np.abs(net.weights[ii, jj])
-        keep = np.zeros(n_active, dtype=bool)
-        if policy.budget:
-            cut = np.partition(mags, n_active - policy.budget)[n_active - policy.budget]
-            keep = mags > cut
-            ties = np.flatnonzero(mags == cut)
-            keep[ties[: policy.budget - np.count_nonzero(keep)]] = True
-        di, dj = ii[~keep], jj[~keep]
-    net.mask[di, dj] = False
-    net.weights[di, dj] = 0.0
-    prune_isolated_neurons(net)
-    return net
+        return ii[drop], jj[drop]
+    if policy.budget >= n_active:
+        if policy.budget > n_active:
+            log.info(
+                "prune budget %d exceeds %d active connections, nothing to do",
+                policy.budget,
+                n_active,
+            )
+        return None
+    # keep every magnitude above the budget-th largest, then that value's
+    # ties in (i, j) order, which np.nonzero already follows
+    mags = np.abs(net.weights[ii, jj])
+    keep = np.zeros(n_active, dtype=bool)
+    if policy.budget:
+        cut = np.partition(mags, n_active - policy.budget)[n_active - policy.budget]
+        keep = mags > cut
+        ties = np.flatnonzero(mags == cut)
+        keep[ties[: policy.budget - np.count_nonzero(keep)]] = True
+    return ii[~keep], jj[~keep]

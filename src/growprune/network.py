@@ -12,17 +12,26 @@ runs wherever the layer id changes; a run with no nonzero weight between two
 of its own neurons is one segment, however wide, and any other run is cut
 every SEGMENT neurons. The outputs form the last segment, so no segment mixes
 hidden and output neurons. Each segment costs one GEMM for the contributions
-of all earlier neurons. Edges between two neurons of one segment are finished
-by a sequential walk. The forward pass walks the segment's walk columns (the
-neurons that receive such an edge) in order, one gemv each. The backward pass
-walks the segment's pull set (walk columns plus the neurons that send such an
-edge) in reverse: each sender pulls its dx from the du of every later
-neuron of the segment with one gemv, then each walk column sets its du from
-its ReLU gate (`loss_and_gradients` states what this needs). A run the mask
-holds no edge inside is one walk-free segment, read without its weights,
-which are zero off the mask; any other run is partitioned by its nonzero
-weights. Activating a connection with weight zero therefore cannot perturb
-any float result.
+of all earlier neurons. The output segment's GEMMs start at the first row
+that holds a nonzero weight into the outputs, read from the weights: on an
+MLP the inputs, which feed no output, drop out of the forward GEMM, and the
+backward pass multiplies dU by a C-ordered copy of the transposed weight
+block, which OpenBLAS's threaded kernels run ~10x faster than the strided
+transpose.
+
+Edges between two neurons of one segment (walk columns are the neurons that
+receive one) are finished by a walk over a neuron-major (segment, batch)
+copy of the segment, cut into sub-blocks of WALK_BLOCK neurons. The forward
+walk visits the sub-blocks in order: one GEMM adds the contributions of the
+earlier sub-blocks, then each receiver inside the sub-block adds those from
+inside it with one gemv over contiguous rows, in order. The backward pull
+does the same in reverse: one GEMM pulls into each sub-block's dx from the
+later sub-blocks' dU, then each sender inside it pulls from the later
+neurons of the sub-block and resets its dU. A run the mask holds no edge
+inside is one walk-free segment, read without its weights, which are zero
+off the mask; any other run is partitioned, and its sub-blocks described,
+by its nonzero weights. Activating a connection with weight zero therefore
+cannot perturb any float result.
 
 No edge ends at an input or starts at an output, so only the legal
 rectangle `Network.rect` (rows [0, hidden_end) by columns [n_in, n)) of the
@@ -39,12 +48,20 @@ input, which nothing consumes.
 Every call runs through a step plan (`_StepPlan`), built once per training
 call and once per public call. It fixes the layer runs, which of them the
 mask holds an edge inside, and per segment the dW target; it rebuilds the
-walk columns and pull set of a run whose nonzero pattern changed since the
-last step, since a grown edge starts at weight zero, where it needs no walk,
-and turns nonzero after the first update. A plan without dW blocks writes no
-dW, and `_backprop` returns the forward trace it ran on, so a caller that
-needs only dU and the activations (gradient-based growth) runs one forward
-and one backward pass and no dW GEMM.
+walk of a run whose nonzero pattern changed since the last step, since a
+grown edge starts at weight zero, where it needs no walk, and turns nonzero
+after the first update. It also owns the step buffers: the activations, dU
+and dx of a batch, allocated at the first step and reused by every later
+one, and dropped with the plan when its call returns. Training keeps no
+preactivations: the backward ReLU gate x > 0 equals u > 0, since x =
+max(u, 0), NaN included. A plan without dW blocks writes no dW, and
+`_backprop` returns the forward trace it ran on, so a caller that needs
+only dU and the activations (gradient-based growth) runs one forward and
+one backward pass and no dW GEMM.
+
+The graph passes (`depth`, `connection_count`, `prune_isolated_neurons`)
+use the same layer runs: a run without an edge inside it, and the outputs,
+take their distances and path flags as one block.
 """
 
 from __future__ import annotations
@@ -56,6 +73,11 @@ import numpy as np
 
 
 SEGMENT = 128  # most hidden neurons in one segment
+# neurons per sub-block of a walking segment (`_run_segments`). One training
+# step of a 784-200-10 DAG with the full in-run triangle at batch 128 (2-core
+# host, medians) took 4.27 ms at 16, 4.24 at 32, 4.29 at 64, 4.32 at 8 and
+# 4.44 at 4, against 5.2 ms for a per-column walk over batch-major columns.
+WALK_BLOCK = 16
 # most neurons a checkpoint may name: its dense n x n float64 weights and bool
 # mask take 576 MiB at the ceiling, before `Network.validate`'s temporaries
 MAX_CHECKPOINT_NEURONS = 8192
@@ -168,35 +190,46 @@ class ForwardTrace:
         return self.x[:, self.x.shape[1] - n_out :]
 
 
-def _layer_runs(net: Network) -> list[tuple[int, int]]:
-    """Hidden neuron ranges [a, e) of one layer id each, in order; all hidden
-    neurons form one run when the network has no layer ids."""
+def _layer_runs(net: Network) -> list[tuple[int, int, bool]]:
+    """Hidden neuron ranges [a, e) of one layer id each, in order (all hidden
+    neurons form one run when the network has no layer ids), each with
+    whether the mask holds an edge between two of its neurons. A run without
+    one is one block to the step plan and to the graph passes."""
     cuts = [net.n_in]
     if net.layers is not None:
         cuts += (np.flatnonzero(np.diff(net.layers[net.n_in : net.hidden_end])) + net.n_in + 1).tolist()
     cuts.append(net.hidden_end)
-    return [(a, e) for a, e in zip(cuts, cuts[1:]) if a < e]
+    return [(a, e, bool(net.mask[a:e, a:e].any())) for a, e in zip(cuts, cuts[1:]) if a < e]
 
 
 _NO_WALK = np.empty(0, dtype=np.int64)
 
 
-def _run_segments(nonzero: np.ndarray, a: int, e: int) -> list[tuple[int, int, np.ndarray, list]]:
-    """Segments of the hidden run [a, e) whose in-run nonzero weights are
-    `nonzero`, each with the offsets in [0, t - s) of its walk columns and its
-    pull set; see the module doc. The pull set lists, by descending offset c,
-    every in-segment neuron with an in-segment edge as (c, sends, receives):
-    whether it sends one and whether it receives one (is a walk column)."""
+def _run_segments(nonzero: np.ndarray, a: int, e: int) -> list[tuple[int, int, np.ndarray, tuple]]:
+    """Segments (s, t, walk, (0, blocks)) of the hidden run [a, e) whose
+    in-run nonzero weights are `nonzero`; see the module doc. `walk` holds
+    the offsets in [0, t - s) of the segment's walk columns. A walking
+    segment is cut into sub-blocks [p, q) of WALK_BLOCK neurons, each listed
+    in `blocks` as (p, q, fed, receivers, feeds, senders): whether a nonzero
+    weight joins an earlier sub-block to it (fed) and it to a later one
+    (feeds), its neurons that receive a nonzero weight from inside it in
+    ascending order, and those that send one inside it in descending order.
+    A segment that does not walk has no blocks."""
     if not nonzero.any():
-        return [(a, e, _NO_WALK, [])]
+        return [(a, e, _NO_WALK, (0, ()))]
     segs = []
     for s in range(a, e, SEGMENT):
         t = min(s + SEGMENT, e)
-        blk = nonzero[s - a : t - a, s - a : t - a]
-        recv, send = blk.any(axis=0), blk.any(axis=1)
-        c = np.flatnonzero(recv | send)[::-1]
-        pull = list(zip(c.tolist(), send[c].tolist(), recv[c].tolist()))
-        segs.append((s, t, np.flatnonzero(recv), pull))
+        nz = nonzero[s - a : t - a, s - a : t - a]
+        walk = np.flatnonzero(nz.any(axis=0))
+        blocks = []
+        for p in range(0, t - s if walk.size else 0, WALK_BLOCK):
+            q = min(p + WALK_BLOCK, t - s)
+            inner = nz[p:q, p:q]
+            receivers = (np.flatnonzero(inner.any(axis=0)) + p).tolist()
+            senders = (np.flatnonzero(inner.any(axis=1)) + p).tolist()[::-1]
+            blocks.append((p, q, bool(nz[:p, p:q].any()), receivers, bool(nz[p:q, q:].any()), senders))
+        segs.append((s, t, walk, (0, tuple(blocks))))
     return segs
 
 
@@ -212,7 +245,7 @@ def live_blocks(net: Network) -> list[tuple[slice, slice]]:
     columns, and the output columns, by the row range of the senders the
     mask activates into them. Read from the mask and layer ids only."""
     blocks = []
-    for s, e in _layer_runs(net) + [(net.hidden_end, net.n)]:
+    for s, e, _ in _layer_runs(net) + [(net.hidden_end, net.n, False)]:
         rows = _mask_rows(net, s, e)
         if rows is not None:
             blocks.append((slice(*rows), slice(s, e)))
@@ -221,30 +254,35 @@ def live_blocks(net: Network) -> list[tuple[slice, slice]]:
 
 class _StepPlan:
     """What the steps of one call share (module doc): the segment partition,
-    rebuilt run by run when a run's nonzero pattern changes, and each
-    segment's dW target.
+    rebuilt run by run when a run's nonzero pattern changes, each segment's
+    dW target, and the activation, dU and dx buffers every step reuses.
 
-    `dw_blocks` holds (block, buffer) pairs whose blocks cover the columns of
-    every segment's dW; each segment's dW goes into the buffer of the block
-    that holds its columns. With no blocks the plan writes no dW. A run the
-    mask holds no edge inside is one walk-free segment whose weights are
-    never read; the mask must not change while the plan is used.
+    `dw_blocks` holds (block, buffer, reads_all) triples whose blocks cover
+    the columns of every segment's dW; each segment's dW goes into the buffer
+    of the block that holds its columns. `reads_all` says whether the
+    buffer's reader reads every entry of the block, so that the entries the
+    mask leaves inactive must be zero; a reader of the active entries alone
+    gets them as the GEMM leaves them. With no blocks the plan writes no dW.
+    A run the mask holds no edge inside is one walk-free segment whose
+    weights are never read; the mask must not change while the plan is used.
     """
 
     def __init__(self, net: Network, dw_blocks: list):
         self.net = net
         self.dw_blocks = dw_blocks
         # [a, e, may walk, nonzero pattern the segments were built from, segments]
-        self.runs = [
-            [a, e, net.mask[a:e, a:e].any(), None, [(a, e, _NO_WALK, [])]] for a, e in _layer_runs(net)
-        ]
-        # outputs send no edges, so the output segment never walks
-        self.outputs = (net.hidden_end, net.n, _NO_WALK, [])
+        self.runs = [[a, e, inner, None, [(a, e, _NO_WALK, (0, ()))]] for a, e, inner in _layer_runs(net)]
         self.targets: dict[tuple[int, int], tuple | None] = {}
+        self.bufs = None
 
-    def segments(self) -> list[tuple[int, int, np.ndarray, list]]:
-        """This step's segments, in order."""
-        w = self.net.weights
+    def segments(self) -> list[tuple[int, int, np.ndarray, tuple]]:
+        """This step's segments, in order: (s, e, walk, (r, blocks)) with the
+        first row r the segment's forward GEMM reads (`_run_segments` gives
+        the rest). The outputs send no edges, so their segment never walks,
+        and it reads from the first row that holds a nonzero weight into
+        them."""
+        net, w = self.net, self.net.weights
+        he = net.hidden_end
         segs = []
         for run in self.runs:
             a, e, may_walk, last, _ = run
@@ -253,15 +291,26 @@ class _StepPlan:
                 if last is None or not np.array_equal(nonzero, last):
                     run[3:] = nonzero, _run_segments(nonzero, a, e)
             segs += run[4]
-        segs.append(self.outputs)
+        weighted = w[:he, he:].any(axis=1)
+        segs.append((he, net.n, _NO_WALK, (int(weighted.argmax()) if weighted.any() else he, ())))
         return segs
+
+    def buffers(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, dU, dx) for a batch of b rows: views of buffers kept for the
+        plan's life and grown when a larger batch comes. dU's input columns
+        stay zero, since no step writes them; x, the rest of dU and dx hold
+        whatever the last step left."""
+        if self.bufs is None or len(self.bufs[0]) < b:
+            n = self.net.n
+            self.bufs = (np.empty((b, n)), np.zeros((b, n)), np.empty((b, n)))
+        return tuple(buf[:b] for buf in self.bufs)
 
     def target(self, s: int, e: int) -> tuple | None:
         """(r0, r1, blk, live) for the segment columns [s, e): the mask's
         sender rows [r0, r1) into them, the view of the dW buffer that takes
-        their dW block, and that mask block, or None where it is all True.
-        None when the columns receive no active edge or the plan writes no
-        dW."""
+        their dW block, and that mask block where the buffer's reader needs
+        the inactive entries zeroed, else None. None when the columns receive
+        no active edge or the plan writes no dW."""
         if not self.dw_blocks:
             return None
         if (s, e) not in self.targets:
@@ -270,10 +319,10 @@ class _StepPlan:
                 self.targets[s, e] = None
             else:
                 r0, r1 = rows
-                (br, bc), buf = next(d for d in self.dw_blocks if d[0][1].start <= s < d[0][1].stop)
+                (br, bc), buf, reads_all = next(d for d in self.dw_blocks if d[0][1].start <= s < d[0][1].stop)
                 live = self.net.mask[r0:r1, s:e]
                 blk = buf[r0 - br.start : r1 - br.start, s - bc.start : e - bc.start]
-                self.targets[s, e] = (r0, r1, blk, None if live.all() else live)
+                self.targets[s, e] = (r0, r1, blk, live if reads_all and not live.all() else None)
         return self.targets[s, e]
 
 
@@ -308,20 +357,57 @@ def _forward(net: Network, batch: np.ndarray, segs: list, x: np.ndarray | None =
         x = np.empty((b, n))
         u[:, : net.n_in] = batch
     x[:, : net.n_in] = batch
-    for s, e, walk, _ in segs:
-        ub = x[:, :s] @ w[:s, s:e]
+    for s, e, walk, (r, blocks) in segs:
+        ub = x[:, r:s] @ w[r:s, s:e]
         ub += net.bias[s - net.n_in : e - net.n_in]
-        if s < net.hidden_end:
-            np.maximum(ub, 0.0, out=x[:, s:e])  # ReLU
-        else:
+        if s >= net.hidden_end:
             x[:, s:e] = ub
-        # in-segment edges (hidden segments only): finish those columns in order
-        for c in walk:
-            ub[:, c] += x[:, s : s + c] @ w[s : s + c, s + c]
-            np.maximum(ub[:, c], 0.0, out=x[:, s + c])
+        else:
+            if walk.size:
+                ub = _walk(w[s:e, s:e], blocks, ub)
+            np.maximum(ub, 0.0, out=x[:, s:e])  # ReLU
         if u is not None:
             u[:, s:e] = ub
     return ForwardTrace(u=u, x=x)
+
+
+def _walk(ws: np.ndarray, blocks: tuple, ub: np.ndarray) -> np.ndarray:
+    """The preactivations of a walking segment with in-segment weights `ws`
+    and sub-blocks `blocks` (`_run_segments`), from `ub`, the part of every
+    neuron before the segment. Each sub-block adds the earlier sub-blocks'
+    part with one GEMM, then each of its receivers the part from inside the
+    sub-block with one gemv, in order. Runs neuron-major and returns a
+    (batch, segment) view."""
+    ut = np.ascontiguousarray(ub.T)
+    xt = np.maximum(ut, 0.0)
+    for p, q, fed, receivers, _, _ in blocks:
+        if fed:
+            ut[p:q] += ws[:p, p:q].T @ xt[:p]
+            np.maximum(ut[p:q], 0.0, out=xt[p:q])
+        for c in receivers:
+            ut[c] += ws[p:c, c] @ xt[p:c]
+            np.maximum(ut[c], 0.0, out=xt[c])
+    return ut.T
+
+
+def _pull(ws: np.ndarray, blocks: tuple, xs: np.ndarray, dxs: np.ndarray) -> np.ndarray:
+    """dU of a walking segment with in-segment weights `ws`, activations `xs`
+    and `dxs`, the part of dx from every neuron after the segment: `_walk`
+    in reverse. Each sub-block, from the last, adds to dx what the later
+    sub-blocks pull with one GEMM and sets its dU, then each of its senders,
+    from the last, pulls from inside the sub-block with one gemv and resets
+    its dU. Runs neuron-major and returns a (batch, segment) view."""
+    gate = np.ascontiguousarray(xs.T) > 0.0  # ReLU
+    dxt = np.ascontiguousarray(dxs.T)
+    dut = np.empty_like(dxt)
+    for p, q, _, _, feeds, senders in reversed(blocks):
+        if feeds:
+            dxt[p:q] += ws[p:q, q:] @ dut[q:]
+        np.multiply(dxt[p:q], gate[p:q], out=dut[p:q])
+        for c in senders:
+            dxt[c] += ws[c, c + 1 : q] @ dut[c + 1 : q]
+            np.multiply(dxt[c], gate[c], out=dut[c])
+    return dut.T
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -365,22 +451,24 @@ def loss_and_gradients(
     labels once, so that this call does not. Each segment then writes its dW
     block, its columns by the row range of the senders the mask activates
     into them (`_mask_rows`), into the buffer of the live block that holds
-    those columns. This is the only write to a buffer, and it leaves zero
-    wherever the mask is False, so each buffer must be zero outside its
-    segments' blocks, which holds wherever it is zero off the mask: when
-    freshly zeroed, or after an earlier call under the same mask. dW is then
-    returned as None. Without a plan, the call validates its inputs and runs
-    a one-off plan that writes a fresh n x n dW.
+    those columns. This is the only write to a buffer. Where the buffer's
+    reader reads the whole block, the write leaves zero wherever the mask is
+    False (a dense block, mask all True, skips the mask multiply, which
+    would change no float); a reader of the active entries alone gets the
+    inactive ones unmasked. Each buffer must be zero outside its segments'
+    blocks, which holds when freshly zeroed and after every earlier call
+    under the same mask. dW is then returned as None, and dU is a view of the
+    plan's buffer, which the next call overwrites. Without a plan, the call
+    validates its inputs and runs a one-off plan that writes a fresh n x n
+    dW.
 
-    Segments are visited in reverse. In a segment with in-segment edges, the
-    pull set is walked by descending neuron: a sender j first gathers
-    dx[:, j] += dU[:, j+1:e] @ W[j, j+1:e] (one gemv), then a walk column sets
-    dU[:, j] from dx[:, j] and its ReLU gate. This needs dU to be final in
-    every later walk column of the segment, which the reverse order gives, and
-    zero in every later column that is not a walk column; those columns are
-    only set after the walk, and their weights from the segment are zero. A
-    dense dW block (mask all True) skips the mask multiply, which would change
-    no float.
+    Segments are visited in reverse; a walking segment pulls its dU through
+    its sub-blocks in reverse (`_pull`, module doc). Each sub-block's GEMM
+    needs dU final in every later neuron of the segment, which the reverse
+    order gives; each sender's gemv needs it final in the later neurons of
+    its sub-block, which the descending order of the senders gives, since
+    a neuron that sends nothing inside the sub-block has its dU set before
+    any sender pulls.
     """
     dw = None
     if _plan is None:
@@ -388,18 +476,22 @@ def loss_and_gradients(
         batch = _check_batch(net, batch)
         n = net.n
         dw = np.zeros((n, n))
-        # the whole n x n dW is one block at the origin
-        _plan = _StepPlan(net, [((slice(0, n), slice(0, n)), dw)])
+        # the whole n x n dW is one block at the origin, read whole
+        _plan = _StepPlan(net, [((slice(0, n), slice(0, n)), dw, True)])
     loss, dbias, du, _ = _backprop(net, batch, labels, weight_decay, _plan)
     return loss, dw, dbias, du
 
 
 def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay: float, plan: _StepPlan):
     """Forward pass, loss and backward pass of one call through `plan`, on a
-    validated batch and int64 labels: (loss, dBias, dU, forward trace)."""
+    validated batch and int64 labels: (loss, dBias, dU, forward trace). dU
+    and the trace's activations are views of the plan's buffers, which the
+    next call through the plan overwrites; the trace keeps no
+    preactivations."""
     segs = plan.segments()
-    trace = _forward(net, batch, segs)
-    n, b = net.n, trace.x.shape[0]
+    b = batch.shape[0]
+    x, du, dx = plan.buffers(b)
+    trace = _forward(net, batch, segs, x)
     he = net.hidden_end
     w = net.weights
 
@@ -412,28 +504,28 @@ def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay:
     dlogits[np.arange(b), labels] -= 1.0
     dlogits /= b
 
-    du = np.zeros((b, n))
-    dx = np.zeros((b, n))
+    dx[:, net.n_in : he] = 0.0
     du[:, he:] = dlogits
-    for s, e, _, pull in reversed(segs):
-        if s < he:
-            gate = trace.u[:, s:e] > 0.0  # ReLU
-            # in-segment edges: pull each sender's dx from the later columns
-            # it feeds, and finish each receiver's du, in reverse order
-            for c, sends, receives in pull:
-                j = s + c
-                if sends:
-                    dx[:, j] += du[:, j + 1 : e] @ w[j, j + 1 : e]
-                if receives:
-                    np.multiply(dx[:, j], gate[:, c], out=du[:, j])
-            np.multiply(dx[:, s:e], gate, out=du[:, s:e])
-        # nothing consumes the gradient of an input, so rows :n_in are skipped
-        dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
+    for s, e, walk, (r, blocks) in reversed(segs):
+        if s >= he:
+            # the weights into the outputs from row r on, C-ordered and
+            # transposed; no hidden neuron before r feeds an output
+            r = max(r, net.n_in)
+            dx[:, r:he] += du[:, he:] @ np.ascontiguousarray(w[r:he, he:].T)
+        else:
+            if walk.size:
+                du[:, s:e] = _pull(w[s:e, s:e], blocks, x[:, s:e], dx[:, s:e])
+            else:
+                # ReLU passes the gradient where u > 0, that is where
+                # x = max(u, 0) > 0 (NaN fails both)
+                np.multiply(dx[:, s:e], x[:, s:e] > 0.0, out=du[:, s:e])
+            # nothing consumes the gradient of an input, so rows :n_in are skipped
+            dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
         target = plan.target(s, e)
         if target is None:
             continue
         r0, r1, blk, live = target
-        np.matmul(trace.x[:, r0:r1].T, du[:, s:e], out=blk)
+        np.matmul(x[:, r0:r1].T, du[:, s:e], out=blk)
         # multiplying by True changes no float, so a dense block skips it
         if live is not None:
             blk *= live
@@ -474,13 +566,25 @@ def accuracy(net: Network, batch: np.ndarray, labels: np.ndarray) -> float:
 
 def _longest_paths(net: Network) -> np.ndarray:
     """Edge length of the longest active path from an input to each neuron,
-    -1 where no input reaches it."""
+    -1 where no input reaches it. A layer run without an edge inside it, and
+    the outputs, take their senders' distances as one block."""
     dist = np.full(net.n, -1, dtype=np.int64)
     dist[: net.n_in] = 0
-    for j in range(net.n_in, net.n):
-        d = dist[:j][net.mask[:j, j]].max(initial=-1)
-        if d >= 0:
-            dist[j] = d + 1
+    for a, e, inner in _layer_runs(net) + [(net.hidden_end, net.n, False)]:
+        # per column of the run, the largest distance of an active sender
+        # before the run, by distance in descending order
+        deepest = np.full(e - a, -1, dtype=np.int64)
+        senders = net.mask[:a, a:e]
+        for d in np.unique(dist[:a])[::-1].tolist():
+            if d < 0:
+                break
+            deepest[senders[dist[:a] == d].any(axis=0) & (deepest < 0)] = d
+        dist[a:e] = np.where(deepest >= 0, deepest + 1, -1)
+        if inner:
+            for j in range(a + 1, e):
+                d = max(int(deepest[j - a]), dist[a:j][net.mask[a:j, j]].max(initial=-1))
+                if d >= 0:
+                    dist[j] = d + 1
     return dist
 
 
@@ -499,14 +603,19 @@ def _path_flags(net: Network) -> np.ndarray:
     """True for neurons on some active input-to-output path.
 
     Inputs count as path members when they reach an output; outputs when they
-    are reached from an input.
+    are reached from an input. A layer run without an edge inside it is one
+    block, read after every later neuron.
     """
+    n_in = net.n_in
     bwd = np.zeros(net.n, dtype=bool)
     bwd[net.hidden_end :] = True
-    for i in range(net.hidden_end - 1, net.n_in - 1, -1):
-        bwd[i] = np.any(net.mask[i, i + 1 :] & bwd[i + 1 :])
+    for a, e, inner in reversed(_layer_runs(net)):
+        bwd[a:e] = (net.mask[a:e, e:] & bwd[e:]).any(axis=1)
+        if inner:
+            for i in range(e - 2, a - 1, -1):
+                bwd[i] |= np.any(net.mask[i, i + 1 : e] & bwd[i + 1 : e])
     # no input feeds an input, so the input rows need no order
-    bwd[: net.n_in] = (net.mask[: net.n_in] & bwd).any(axis=1)
+    bwd[:n_in] = (net.mask[:n_in, n_in:] & bwd[n_in:]).any(axis=1)
     return (_longest_paths(net) >= 0) & bwd
 
 

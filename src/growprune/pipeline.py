@@ -21,7 +21,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .data import Dataset, _digit_tasks, _in_order, _read_features, _row_blocks, _text_rows, _usable_cpus, finite_numbers
+from .data import Dataset, _check_finite, _digit_tasks, _in_order, _read_features, _row_blocks, _text_rows, _usable_cpus, finite_numbers
 from .dimreduce import REDUCER_KINDS, Reducer, _project, _rescale, fit_reducer, normalize, reduce_dataset, shrink_architecture
 from .energy import count_reducer_ops, estimate_energy, round_energy
 from .network import (
@@ -573,10 +573,12 @@ def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.nd
 def bundle_predict(bundle: dict, raw_features: np.ndarray, net: Network) -> list:
     """Raw labels of the rows of a matrix of raw features through the
     bundle's preprocess and `net` (as `load_bundle` returns them): the stream
-    of `predict_features_file` over row blocks of the matrix."""
+    of `predict_features_file` over row blocks of the matrix. A row with a
+    NaN or an infinity is refused with ValueError, as `infer` refuses it."""
     x = np.asarray(raw_features, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"raw features must form a 2-D matrix, got shape {x.shape}")
+    _check_finite(x, ValueError)
     return _raw_labels(bundle, _stream_labels(bundle, net, x.shape[1], _row_blocks(x)))
 
 

@@ -14,6 +14,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -308,6 +309,21 @@ class _LiveUnit:
             np.put(weights, self.put, self.w)
 
 
+# Entries per chunk of the optimizer update, which runs every operation of a
+# chunk before the next chunk, so that the chunk stays in cache between them.
+# The SGD + decay update of a dense 784 x 500 block (2-core host, medians of
+# interleaved runs) took 1.9 ms in whole-array passes, 1.45 ms in chunks of
+# 16,384 entries and 1.3 ms in chunks of 32,768.
+CHUNK = 32_768
+
+
+def _chunks(a: np.ndarray) -> list[slice]:
+    """Slices of the first axis of a non-empty `a`, of about CHUNK entries
+    each."""
+    rows = max(1, CHUNK // a[0].size)
+    return [slice(r, r + rows) for r in range(0, len(a), rows)]
+
+
 def train_weights(
     net: Network,
     data,
@@ -317,19 +333,24 @@ def train_weights(
 ) -> Network:
     """Minibatch training for epochs_per_iteration epochs, gradients masked.
 
-    The mask does not change while training, so it is read once per call:
-    the live blocks (`network.live_blocks`), each with its own zeroed dW
-    buffer, and one step plan over them (`network._StepPlan`), which every
-    step passes to `loss_and_gradients`. The features and labels are
-    validated once, before the first update, so a bad label or feature width
-    raises ValueError with the entry weights untouched.
+    `data` is anything whose train_xy() gives the training features and
+    labels. The mask does not change while training, so it is read once per
+    call: the live blocks (`network.live_blocks`), each with its own zeroed
+    dW buffer, and one step plan over them (`network._StepPlan`), which every
+    step passes to `loss_and_gradients` and which holds the step buffers for
+    this call only. The features and labels are validated once, before the
+    first update, so a bad label or feature width raises ValueError with the
+    entry weights untouched.
 
     The optimizer updates one list of parameters: the live blocks, then the
     bias. A block the mask fills to less than SPARSE_FILL enters as the
     vector of its active entries (`_LiveUnit`); both forms run the same
-    elementwise updates, so they give the same floats. Weight decay applies
-    to the blocks only, folded into the update as dW + weight_decay * W. A
-    masked dW entry is zero, so every weight off the mask stays exactly zero.
+    elementwise updates, so they give the same floats. Each parameter is
+    updated in chunks of about CHUNK entries, every operation of the update
+    on one chunk before the next; each entry sees the same operations in the
+    same order either way. Weight decay applies to the blocks only, folded
+    into the update as dW + weight_decay * W. A masked dW entry that the
+    update reads is zero, so every weight off the mask stays exactly zero.
     Divergence is a non-finite cross-entropy loss (the decay term is not part
     of it) or a non-finite weight after the last step: the entry weights are
     then restored and TrainingDiverged raised.
@@ -339,19 +360,24 @@ def train_weights(
     x_train = _check_batch(net, x_train)
     blocks = live_blocks(net)
     units = [_LiveUnit(net, blk) for blk in blocks]
-    plan = _StepPlan(net, [(blk, unit.buf) for blk, unit in zip(blocks, units)])
+    # a vector unit gathers only its active entries, so its block's inactive
+    # dW entries need not be zeroed
+    plan = _StepPlan(net, [(blk, unit.buf, unit.take is None) for blk, unit in zip(blocks, units)])
     # block units are views into net.weights; the bias is the last entry
     ws = [unit.w for unit in units] + [net.bias]
+    chunks = [_chunks(w) for w in ws]
+    decays = [opt.weight_decay] * len(units) + [0.0]
     dws = [unit.dw for unit in units] + [None]  # the bias gradient, set each step
     snaps = [w.copy() for w in ws]
     lr = opt.learning_rate * lr_scale
-    tmps = [np.empty_like(w) for w in ws]
+    # scratch for the largest chunk
+    tmp = np.empty(max(w[cs[0]].size for w, cs in zip(ws, chunks)))
     if opt.kind == "sgd_momentum":
         vels = [np.zeros_like(w) for w in ws]
     else:
         m_w = [np.zeros_like(w) for w in ws]
         v_w = [np.zeros_like(w) for w in ws]
-        dens = [np.empty_like(w) for w in ws]
+        den = np.empty_like(tmp)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
     try:
@@ -365,29 +391,33 @@ def train_weights(
                         raise TrainingDiverged(f"loss became {loss}")
                     for unit in units:
                         unit.gather()
-                    if opt.weight_decay:
-                        for w, dw, tmp in zip(ws[:-1], dws, tmps):
-                            dw += np.multiply(opt.weight_decay, w, tmp)
-                    if opt.kind == "sgd_momentum":
-                        for w, dw, tmp, vel in zip(ws, dws, tmps, vels):
-                            vel *= opt.momentum
-                            vel += dw
-                            w -= np.multiply(lr, vel, tmp)
-                    else:
+                    if opt.kind == "adam":
                         step += 1
                         bc1 = 1 - beta1**step
                         bc2 = 1 - beta2**step
-                        for w, dw, tmp, m, v, den in zip(ws, dws, tmps, m_w, v_w, dens):
-                            m *= beta1
-                            m += np.multiply(1 - beta1, dw, tmp)
-                            v *= beta2
-                            np.multiply(1 - beta2, dw, tmp)
-                            v += np.multiply(tmp, dw, tmp)
-                            # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in
-                            # that order, through the scratch buffers
-                            np.multiply(lr, np.divide(m, bc1, tmp), tmp)
-                            np.add(np.sqrt(np.divide(v, bc2, den), den), eps, den)
-                            w -= np.divide(tmp, den, tmp)
+                    for i, (w, dw, decay) in enumerate(zip(ws, dws, decays)):
+                        for sl in chunks[i]:
+                            wc, g = w[sl], dw[sl]
+                            t = tmp[: g.size].reshape(g.shape)
+                            if decay:
+                                g += np.multiply(decay, wc, t)
+                            if opt.kind == "sgd_momentum":
+                                vel = vels[i][sl]
+                                vel *= opt.momentum
+                                vel += g
+                                wc -= np.multiply(lr, vel, t)
+                            else:
+                                m, v, dn = m_w[i][sl], v_w[i][sl], den[: g.size].reshape(g.shape)
+                                m *= beta1
+                                m += np.multiply(1 - beta1, g, t)
+                                v *= beta2
+                                np.multiply(1 - beta2, g, t)
+                                v += np.multiply(t, g, t)
+                                # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in
+                                # that order, through the scratch buffers
+                                np.multiply(lr, np.divide(m, bc1, t), t)
+                                np.add(np.sqrt(np.divide(v, bc2, dn), dn), eps, dn)
+                                wc -= np.divide(t, dn, t)
                     for unit in units:
                         unit.scatter(net.weights)
         if not all(np.all(np.isfinite(w)) for w in ws):
@@ -500,8 +530,7 @@ def _apply_neuron_step(net, step, cfg, rng, batch):
             return
 
 
-def _sample_batch(data, opt, rng):
-    x, y = data.train_xy()
+def _sample_batch(x, y, opt, rng):
     k = min(opt.batch_size, len(y))
     idx = rng.choice(len(y), size=k, replace=False)
     return x[idx], y[idx]
@@ -533,6 +562,9 @@ def run_scheme(
     """
     rng = rng if rng is not None else make_rng(cfg.seed)
     net = _initial_network(cfg, data, rng)
+    # the training split, gathered once for every training call and growth batch
+    x_train, y_train = data.train_xy()
+    train = SimpleNamespace(train_xy=lambda: (x_train, y_train))
     x_val, y_val = data.val_xy()
     x_test, y_test = data.test_xy()
     steps = cfg.resolved_steps()
@@ -563,7 +595,7 @@ def run_scheme(
         # warm-up train of the initial architecture; not an iteration, so it
         # produces no history row and no checkpoint
         try:
-            train_weights(net, data, cfg.optimizer, rng, lr_scale)
+            train_weights(net, train, cfg.optimizer, rng, lr_scale)
         except TrainingDiverged as exc:
             diverged += 1
             lr_scale *= 0.5
@@ -577,7 +609,7 @@ def run_scheme(
             op = step.get("op")
             if op == "train":
                 try:
-                    train_weights(net, data, cfg.optimizer, rng, lr_scale)
+                    train_weights(net, train, cfg.optimizer, rng, lr_scale)
                 except TrainingDiverged as exc:
                     diverged += 1
                     it_diverged = True
@@ -593,12 +625,12 @@ def run_scheme(
                     ):
                         best = (row.val_acc, row.connections, it, net.clone())
             elif op == "grow_connections":
-                batch = _sample_batch(data, cfg.optimizer, rng) if step.get("kind") == "gradient" else None
+                batch = _sample_batch(x_train, y_train, cfg.optimizer, rng) if step.get("kind") == "gradient" else None
                 _apply_growth_step(net, step, cfg, rng, batch)
             elif op == "prune_connections":
                 archops.prune_connections(net, _prune_policy(step, cfg, int(net.mask.sum())))
             else:  # grow_neurons, the last op SchemeConfig accepts
-                batch = _sample_batch(data, cfg.optimizer, rng)
+                batch = _sample_batch(x_train, y_train, cfg.optimizer, rng)
                 _apply_neuron_step(net, step, cfg, rng, batch)
         if it_diverged:
             net = snap

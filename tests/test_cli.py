@@ -906,6 +906,18 @@ def test_bundle_predict_edge_cases_match_infer(tmp_path, stream):
     assert stream["main_thread"] == []
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_bundle_predict_refuses_a_non_finite_row_as_infer_does(tmp_path, capsys, bad):
+    bundle = write_bundle(tmp_path)
+    rows = [[1.0, 2.0, 3.0], [float(bad), 1.0, 2.0], [0.0, -float(bad), 0.0]]
+    b, net = load_bundle(bundle)
+    with pytest.raises(ValueError, match="^features row 1: non-finite value$"):
+        bundle_predict(b, rows, net)
+    assert run_infer(tmp_path, bundle, f"1,2,3\n{bad},1,2\n0,-{bad},0\n") == 3
+    assert capsys.readouterr().err == "data error: features row 1: non-finite value\n"
+    assert not (tmp_path / "p.txt").exists()
+
+
 @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
 def test_infer_failed_write_keeps_the_earlier_predictions(tmp_path, monkeypatch, error):
     bundle = write_bundle(tmp_path)

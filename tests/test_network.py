@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from growprune.network import (
     SEGMENT,
+    WALK_BLOCK,
     Network,
     UnreachableOutputError,
     accuracy,
@@ -24,6 +26,7 @@ from growprune.network import (
     _StepPlan,
 )
 from growprune.numerics import make_rng
+from growprune.schemes import OptimizerConfig, train_weights
 from conftest import random_dag
 from oracles import (
     fd_gradient,
@@ -262,6 +265,107 @@ def test_gradients_match_backprop_oracle_on_dag_runs(seed, widths, wide, density
     want = naive_backward(net.n_in, net.n_out, net.mask, net.weights, net.bias, x, y, weight_decay)
     for got, oracle in zip((du, dw, dbias), want):
         assert_close_to_oracle(got, oracle)
+
+
+def one_run_dag(rng, width, in_run, n_in=4, n_out=3):
+    """A DAG whose `width` hidden neurons form one layer run: every pair from
+    an input, and from the run to an output, active; inside the run the
+    pairs of the bool (width, width) upper-triangular `in_run`. Weights are
+    scaled by fan-in so that activations stay of order one."""
+    net = Network(n_in, width, n_out)
+    he = net.hidden_end
+    net.mask[:n_in, n_in:] = True
+    net.mask[n_in:he, he:] = True
+    net.mask[n_in:he, n_in:he] = in_run
+    fan_in = np.maximum(net.mask.sum(axis=0), 1)
+    net.weights = net.mask * rng.normal(size=(net.n, net.n)) / np.sqrt(fan_in)
+    net.bias = rng.normal(0.0, 0.1, size=width + n_out)
+    net.layers = np.repeat([0, 1, 2], [n_in, width, n_out])
+    return net
+
+
+def straddling_pattern(rng, width):
+    """A sparse in-run pattern with walk columns on both sides of every
+    sub-block edge and of the SEGMENT cut, and edges across them."""
+    in_run = np.triu(rng.random((width, width)) < 0.03, 1)
+    for edge in range(WALK_BLOCK, width, WALK_BLOCK):
+        in_run[edge - 2, edge - 1] = in_run[edge - 1, edge] = in_run[edge, edge + 1] = True
+        in_run[edge - 3, edge + 2] = True
+    in_run[SEGMENT - 1, SEGMENT] = in_run[SEGMENT - 5, SEGMENT + 3] = True
+    return in_run
+
+
+IN_RUN_PATTERNS = {
+    "straddling": straddling_pattern,
+    # scheme A's random growth: a sparse scatter of in-run edges
+    "sparse": lambda rng, width: np.triu(rng.random((width, width)) < 0.05, 1),
+    # scheme B's full growth: every in-run pair
+    "full_triangle": lambda rng, width: np.triu(np.ones((width, width), dtype=bool), 1),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(IN_RUN_PATTERNS))
+def test_blocked_walk_matches_the_backprop_oracle(pattern):
+    rng = make_rng(21)
+    width = SEGMENT + 2 * WALK_BLOCK + 5
+    net = one_run_dag(rng, width, IN_RUN_PATTERNS[pattern](rng, width))
+    segs = _StepPlan(net, []).segments()
+    assert [(s - net.n_in, e - net.n_in) for s, e, *_ in segs[:-1]] == [(0, SEGMENT), (SEGMENT, width)]
+    blocks = [blk for _, _, walk, (_, blks) in segs[:-1] if walk.size for blk in blks]
+    # every walking segment is cut into sub-blocks, with GEMMs between them
+    # and gemvs inside them
+    assert sum(walk.size for _, _, walk, _ in segs[:-1]) > 2 * width // WALK_BLOCK
+    assert any(fed for _, _, fed, *_ in blocks) and any(feeds for *_, feeds, _ in blocks)
+    assert any(len(receivers) > 1 for _, _, _, receivers, *_ in blocks)
+    x = rng.normal(size=(4, net.n_in))
+    y = rng.integers(0, net.n_out, size=4)
+    loss, dw, dbias, du = loss_and_gradients(net, x, y, weight_decay=1e-3)
+    args = (net.n_in, net.n_out, net.mask, net.weights, net.bias)
+    logits = np.array([naive_forward(*args, sample)[net.hidden_end :] for sample in x])
+    z = logits - logits.max(axis=1, keepdims=True)
+    want = np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(4), y])
+    want += 0.5e-3 * np.sum(net.weights**2)
+    assert math.isclose(loss, want, rel_tol=1e-12)
+    for got, oracle in zip((du, dw, dbias), naive_backward(*args, x, y, 1e-3)):
+        assert_close_to_oracle(got, oracle)
+
+
+def test_a_zero_weight_input_to_output_edge_keeps_a_trained_mlp_bitwise(rng):
+    # scheme B grows input-to-output skip edges at weight zero; the output
+    # GEMMs read from the first row with a nonzero weight, which they leave
+    net = from_mlp([784, 200, 10], rng)
+    x = rng.normal(size=(64, 784))
+    y = rng.integers(0, 10, size=64)
+    opt = OptimizerConfig(batch_size=32, epochs_per_iteration=2)
+    train_weights(net, SimpleNamespace(train_xy=lambda: (x, y)), opt, rng)
+    before = [forward(net, x).logits(10).copy(), *(np.copy(v) for v in loss_and_gradients(net, x, y))]
+    net.mask[[3, 400], net.hidden_end + 2] = True
+    net.validate()
+    after = [forward(net, x).logits(10), *loss_and_gradients(net, x, y)]
+    # logits, loss, dbias and du; the output dW GEMM spans the mask's rows
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(np.asarray(after[i]).view(np.int64), np.asarray(before[i]).view(np.int64))
+
+
+def test_zero_weight_in_run_edges_keep_a_walking_dag_bitwise():
+    rng = make_rng(8)
+    width = SEGMENT + WALK_BLOCK
+    net = one_run_dag(rng, width, straddling_pattern(rng, width))
+    x = rng.normal(size=(6, net.n_in))
+    y = rng.integers(0, net.n_out, size=6)
+    walks = [walk.tolist() for _, _, walk, _ in _StepPlan(net, []).segments()]
+    before = [forward(net, x).logits(net.n_out).copy(), *(np.copy(v) for v in loss_and_gradients(net, x, y))]
+    # inactive in-run pairs inside one sub-block, across sub-blocks and
+    # across the SEGMENT cut
+    a = net.n_in
+    for i, j in [(1, 3), (2, WALK_BLOCK + 4), (WALK_BLOCK - 1, 3 * WALK_BLOCK), (5, SEGMENT + 2)]:
+        assert not net.mask[a + i, a + j]
+        net.mask[a + i, a + j] = True
+    net.validate()
+    assert [walk.tolist() for _, _, walk, _ in _StepPlan(net, []).segments()] == walks
+    after = [forward(net, x).logits(net.n_out), *loss_and_gradients(net, x, y)]
+    for i in (0, 1, 3, 4):
+        assert np.array_equal(np.asarray(after[i]).view(np.int64), np.asarray(before[i]).view(np.int64))
 
 
 def test_forward_order_invariant_under_hidden_permutation(rng):
@@ -505,6 +609,32 @@ def test_prune_isolated_matches_fixed_point_oracle(rng):
         want_bias = np.concatenate([before.bias[kept_hidden - net.n_in], before.bias[before.n_hidden :]])
         assert np.array_equal(net.bias, want_bias)
         net.validate()
+
+
+def test_graph_passes_by_layer_run_match_the_oracles():
+    # layer runs with and without in-run edges, sparse enough that some
+    # neurons are unreachable or dead ends
+    rng = make_rng(31)
+    for _ in range(30):
+        widths = rng.integers(1, 9, size=int(rng.integers(1, 5))).tolist()
+        net = layered_dag(rng, widths, density=float(rng.uniform(0.05, 0.4)))
+        cuts = np.cumsum([net.n_in] + widths)
+        for a, e in zip(cuts, cuts[1:]):
+            if rng.random() < 0.5:
+                net.mask[a:e, a:e] = False
+                net.weights[a:e, a:e] = 0.0
+        want = longest_path_dp(net.n_in, net.n_out, net.mask)
+        if want < 0:
+            with pytest.raises(UnreachableOutputError):
+                depth(net)
+        else:
+            assert depth(net) == want
+        assert connection_count(net) == scan_connection_count(net.n_in, net.n_out, net.mask)
+        keep = np.flatnonzero(fixed_point_isolated(net.n_in, net.n_out, net.mask))
+        before = net.clone()
+        prune_isolated_neurons(net)
+        assert net.n == keep.size
+        assert np.array_equal(net.mask, before.mask[np.ix_(keep, keep)])
 
 
 def test_validate_rejects_a_float_mask(rng):

@@ -181,6 +181,21 @@ def test_sparse_and_dense_blocks_match_dense_oracle(kind):
     assert_training_matches_dense_oracle(mlp_with_a_sparse_and_a_dense_block(), kind)
 
 
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_update_in_chunks_matches_dense_oracle(kind):
+    # a vector unit of 45% of a 300 x 250 block and a dense 250 x 140 block,
+    # each longer than one chunk of the update
+    net = from_mlp([300, 250, 140, 3], make_rng(4))
+    drop = make_rng(5).random((300, 250)) >= 0.45
+    drop[0, 0] = drop[-1, -1] = False
+    net.mask[:300, 300:550][drop] = False
+    net.weights[:300, 300:550][drop] = 0.0
+    units = [_LiveUnit(net, blk) for blk in live_blocks(net)]
+    assert [unit.take is None for unit in units] == [False, True, True]
+    assert [len(schemes._chunks(unit.w)) for unit in units] == [2, 2, 1]
+    assert_training_matches_dense_oracle(net, kind)
+
+
 def test_divergence_mid_epoch_restores_an_indexed_block():
     net = mlp_with_a_sparse_and_a_dense_block()
     rng = make_rng(3)
