@@ -3,17 +3,20 @@ runs, full reduction+synthesis sweeps, checkpoint inference, and report tables.
 
 A run is described by a JSON manifest; command-line flags override manifest
 fields and the effective merged manifest is persisted next to the outputs.
-Artifacts only ever land under the run's output directory. Exit codes: 0 ok,
-2 usage error, 3 data error, 4 run failure.
+Artifacts only ever land under the run's output directory, and only once the
+command has succeeded. Exit codes: 0 ok, 2 usage error, 3 data error, 4 run
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -53,38 +56,31 @@ def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-class ArtifactTracker:
-    """Collects written artifact paths and the directories it created;
-    removes the files, then those directories left empty, if the run fails."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.paths: list[Path] = []
-        self.dirs: list[Path] = []
-        self._mkdir(out_dir)
-
-    def _mkdir(self, d: Path) -> None:
-        missing = [p for p in (d, *d.parents) if not p.exists()]
-        d.mkdir(parents=True, exist_ok=True)
-        self.dirs += reversed(missing)
-
-    def path(self, *parts) -> Path:
-        p = self.out_dir.joinpath(*parts)
-        self._mkdir(p.parent)
-        self.paths.append(p)
-        return p
-
-    def cleanup(self) -> None:
-        for p in self.paths:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
-        for d in reversed(self.dirs):  # deepest first
+@contextlib.contextmanager
+def _staged(out: Path):
+    """Yield a hidden directory inside `out` for a command to write its files
+    in. When the block succeeds, each file moves to its place under `out`,
+    deepest first so the top-level records move last (files there that the
+    command did not write are left alone). When it raises, an interrupt
+    included, the staged files are dropped, and so are the directories of
+    `out`'s path that this call created, up to the first one that is not
+    empty (another run may have written into it meanwhile)."""
+    missing = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".staging-", dir=out) as stage:
+            yield Path(stage)
+            files = (f.relative_to(stage) for f in Path(stage).rglob("*") if f.is_file())
+            for rel in sorted(files, key=lambda r: (-len(r.parts), r)):
+                (out / rel).parent.mkdir(parents=True, exist_ok=True)
+                os.replace(Path(stage) / rel, out / rel)
+    except BaseException:
+        for d in missing:
             try:
                 d.rmdir()
             except OSError:  # not empty, or already gone
-                pass
+                break
+        raise
 
 
 def load_manifest(path) -> dict:
@@ -103,6 +99,11 @@ def dataset_from_manifest(spec: dict) -> Dataset:
     """Load (and split) the dataset a manifest describes."""
     if not spec:
         raise ManifestError("manifest is missing the dataset section")
+    sp = spec.get("split", {})
+    _integer(sp.get("seed", 0), "dataset.split.seed", 0)
+    files = sp.get("files")
+    if "files" in sp and not (type(files) is list and len(files) == 3 and all(type(f) is str for f in files)):
+        raise ManifestError(f"dataset.split.files must be a list of three paths, got {files!r}")
     fmt = spec.get("format")
     if fmt == "npz":
         if "path" not in spec:
@@ -119,7 +120,8 @@ def dataset_from_manifest(spec: dict) -> Dataset:
         ds = load_csv(spec["path"], schema)
         return _apply_split(ds, spec)
     if fmt == "idx":
-        for key in ("images", "labels"):
+        test = ("test_images", "test_labels") if {"test_images", "test_labels"} & spec.keys() else ()
+        for key in ("images", "labels", *test):
             if key not in spec:
                 raise ManifestError(f"dataset.{key} is required for idx datasets")
         val_fraction = spec.get("val_fraction", 1 / 6)
@@ -171,13 +173,13 @@ def _merge_train_test(train: Dataset, test: Dataset, spec: dict) -> Dataset:
 
 def _synthetic_from_spec(spec: dict) -> Dataset:
     gen = spec.get("generator", "embedded_clusters")
-    rng = make_rng(spec.get("data_seed", 0))
+    rng = make_rng(_integer(spec.get("data_seed", 0), "dataset.data_seed", 0))
     if gen == "embedded_clusters":
         ds = make_embedded_clusters(
-            n_rows=spec.get("rows", 1000),
-            n_features=spec.get("features", 16),
-            n_classes=spec.get("classes", 4),
-            latent_dim=spec.get("latent_dim", 4),
+            n_rows=_integer(spec.get("rows", 1000), "dataset.rows", 1),
+            n_features=_integer(spec.get("features", 16), "dataset.features", 1),
+            n_classes=_integer(spec.get("classes", 4), "dataset.classes", 1),
+            latent_dim=_integer(spec.get("latent_dim", 4), "dataset.latent_dim", 1),
             rng=rng,
             separation=spec.get("separation", 3.0),
             cluster_std=spec.get("cluster_std", 1.0),
@@ -185,9 +187,9 @@ def _synthetic_from_spec(spec: dict) -> Dataset:
         )
     elif gen == "blobs":
         centers = np.asarray(spec.get("centers", np.eye(3).tolist()))
-        ds = make_blobs(spec.get("rows_per_class", 200), centers, spec.get("std", 0.5), rng)
+        ds = make_blobs(_integer(spec.get("rows_per_class", 200), "dataset.rows_per_class", 1), centers, spec.get("std", 0.5), rng)
     elif gen == "moons":
-        ds = make_moons(spec.get("rows", 600), spec.get("noise", 0.1), rng)
+        ds = make_moons(_integer(spec.get("rows", 600), "dataset.rows", 1), spec.get("noise", 0.1), rng)
     else:
         raise ManifestError(f"unknown synthetic generator: {gen!r}")
     return _apply_split(ds, spec)
@@ -196,9 +198,13 @@ def _synthetic_from_spec(spec: dict) -> Dataset:
 def _resolve_seeds(manifest: dict, args) -> list[int]:
     base = args.seed if args.seed is not None else manifest.get("seed", 0)
     count = args.seeds if args.seeds is not None else manifest.get("seeds", 5)
-    if type(base) is not int or type(count) is not int or count < 1:
-        raise ManifestError(f"seed must be an integer and seeds a count >= 1, got {base!r}, {count!r}")
-    return [base + i for i in range(count)]
+    return [_integer(base, "seed", 0) + i for i in range(_integer(count, "seeds", 1))]
+
+
+def _integer(value, name: str, low: int) -> int:
+    if type(value) is not int or value < low:
+        raise ManifestError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _config(cls, spec: dict, section: str):
@@ -243,9 +249,6 @@ def cmd_prep(args) -> int:
     ds = dataset_from_manifest(manifest.get("dataset", {}))
     ds.validate()
     out = _resolve_out(manifest, args)
-    tracker = ArtifactTracker(out)
-    path = tracker.path("dataset.npz")
-    save_dataset(ds, path)
     summary = {
         "rows": ds.n_rows,
         "features": ds.n_features,
@@ -254,8 +257,10 @@ def cmd_prep(args) -> int:
         "val": len(ds.splits["val"]),
         "test": len(ds.splits["test"]),
     }
-    _dump_json(summary, tracker.path("dataset_summary.json"))
-    print(f"prepared dataset: {summary} -> {path}")
+    with _staged(out) as stage:
+        save_dataset(ds, stage / "dataset.npz")
+        _dump_json(summary, stage / "dataset_summary.json")
+    print(f"prepared dataset: {summary} -> {out / 'dataset.npz'}")
     return EXIT_OK
 
 
@@ -277,8 +282,8 @@ def cmd_baseline(args) -> int:
     seeds = _resolve_seeds(manifest, args)
     res = find_baseline(ds, cfg, make_rng(seeds[0]))
     out = _resolve_out(manifest, args)
-    tracker = ArtifactTracker(out)
-    _dump_json(asdict(res), tracker.path("baseline.json"))
+    with _staged(out) as stage:
+        _dump_json(asdict(res), stage / "baseline.json")
     print(f"baseline: {res.layer_sizes} val_acc={res.val_acc:.4f} connections={res.connections}")
     return EXIT_OK
 
@@ -315,8 +320,7 @@ def cmd_synth(args) -> int:
     seeds = _resolve_seeds(manifest, args)
     cfgs = [_scheme_config(manifest, args, ds, seed) for seed in seeds]
     out = _resolve_out(manifest, args)
-    tracker = ArtifactTracker(out)
-    try:
+    with _staged(out) as stage:
         per_seed = []
         baseline_declared = manifest.get("baseline_connections")
         sizes = cfgs[0].layer_sizes
@@ -324,7 +328,9 @@ def cmd_synth(args) -> int:
             # a dense MLP's edges plus the biases of its non-input neurons
             baseline_declared = sum(a * b for a, b in zip(sizes, sizes[1:])) + sum(sizes[1:])
         for seed, cfg in zip(seeds, cfgs):
-            writer = HistoryWriter(tracker.path(f"seed_{seed}", "history.csv"))
+            seed_dir = stage / f"seed_{seed}"
+            seed_dir.mkdir()
+            writer = HistoryWriter(seed_dir / "history.csv")
             try:
                 res = run_scheme(cfg, ds, history_writer=writer)
             finally:
@@ -332,7 +338,7 @@ def cmd_synth(args) -> int:
             summary = summarize_run(res)
             summary["energy_j"] = round_energy(summary["energy_j"])
             checkpoint = checkpoint_dict(res.best_net, seed=seed)
-            _dump_json(checkpoint, tracker.path(f"seed_{seed}", "checkpoint.json"))
+            _dump_json(checkpoint, seed_dir / "checkpoint.json")
             preprocess = []
             if do_normalize and ds.normalization:
                 preprocess.append({"op": "normalize", **ds.normalization})
@@ -343,7 +349,7 @@ def cmd_synth(args) -> int:
                 metrics={k: summary[k] for k in ("val_acc", "test_acc", "connections", "energy_j")},
                 notes=res.notes,
             )
-            save_bundle(bundle, tracker.path(f"seed_{seed}", "bundle.json"))
+            save_bundle(bundle, seed_dir / "bundle.json")
             entry = {
                 "seed": seed,
                 **summary,
@@ -371,13 +377,10 @@ def cmd_synth(args) -> int:
             "mean": mean,
             "baseline_connections": baseline_declared,
         }
-        _dump_json(metrics, tracker.path("metrics.json"))
-        _dump_json(_effective_manifest(manifest, args, seeds, out), tracker.path("effective_manifest.json"))
-        print(f"synth done: mean val_acc={mean['val_acc']:.4f} connections={mean['connections']:.0f}")
-        return EXIT_OK
-    except Exception:
-        tracker.cleanup()
-        raise
+        _dump_json(metrics, stage / "metrics.json")
+        _dump_json(_effective_manifest(manifest, args, seeds, out), stage / "effective_manifest.json")
+    print(f"synth done: mean val_acc={mean['val_acc']:.4f} connections={mean['connections']:.0f}")
+    return EXIT_OK
 
 
 def _effective_manifest(manifest: dict, args, seeds: list[int], out: Path) -> dict:
@@ -408,11 +411,10 @@ def cmd_sweep(args) -> int:
     if args.scheme:
         spec["schemes"] = [args.scheme]
     cfg = _config(PipelineConfig, spec, "pipeline")
-    tracker = ArtifactTracker(out)
-    try:
-        res = run_pipeline(ds, cfg, seeds, workers=workers)
-        _dump_json(asdict(res.baseline), tracker.path("baseline.json"))
-        with open(tracker.path("candidates.csv"), "w", newline="") as f:
+    res = run_pipeline(ds, cfg, seeds, workers=workers)
+    with _staged(out) as stage:
+        _dump_json(asdict(res.baseline), stage / "baseline.json")
+        with open(stage / "candidates.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["reducer", "k", "layer_sizes", "val_acc", "edges", "connections"])
             for row in res.candidates.table:
@@ -426,23 +428,20 @@ def cmd_sweep(args) -> int:
                         row["connections"],
                     ]
                 )
-        with open(tracker.path("sweep.csv"), "w", newline="") as f:
+        with open(stage / "sweep.csv", "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(SWEEP_FIELDS)
             for row in res.sweep_rows:
                 w.writerow([row[k] if k != "val_acc" and k != "test_acc" else repr(row[k]) for k in SWEEP_FIELDS])
-        save_bundle(res.bundle, tracker.path("bundle.json"))
-        _dump_json(res.bundle["metrics"], tracker.path("metrics.json"))
-        _dump_json(_effective_manifest(manifest, args, seeds, out), tracker.path("effective_manifest.json"))
-        m = res.bundle["metrics"]
-        print(
-            f"sweep done: val_acc={m['val_acc']:.4f} connections={m['connections']} "
-            f"compression={m['compression_ratio']:.1f}x"
-        )
-        return EXIT_OK
-    except Exception:
-        tracker.cleanup()
-        raise
+        save_bundle(res.bundle, stage / "bundle.json")
+        _dump_json(res.bundle["metrics"], stage / "metrics.json")
+        _dump_json(_effective_manifest(manifest, args, seeds, out), stage / "effective_manifest.json")
+    m = res.bundle["metrics"]
+    print(
+        f"sweep done: val_acc={m['val_acc']:.4f} connections={m['connections']} "
+        f"compression={m['compression_ratio']:.1f}x"
+    )
+    return EXIT_OK
 
 
 def cmd_infer(args) -> int:
@@ -455,22 +454,17 @@ def cmd_infer(args) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out_path = Path(args.out) if args.out else Path(args.features).with_suffix(".predictions.txt")
-    # written whole or not at all: an earlier predictions file survives a failed or interrupted write
-    tmp = out_path.with_name(f".{out_path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as f:
-            f.writelines(f"{v}\n" for v in labels)
-        os.replace(tmp, out_path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _staged(out_path.parent) as stage, open(stage / out_path.name, "w") as f:
+        f.writelines(f"{v}\n" for v in labels)
     print(f"{len(labels)} predictions -> {out_path}")
     return EXIT_OK
 
 
 def _collect_runs(results_dir: Path) -> list[dict]:
     runs = []
-    candidates = [results_dir] + sorted(p for p in results_dir.rglob("*") if p.is_dir())
+    dirs = [p for p in results_dir.rglob("*") if p.is_dir()]
+    # a hidden directory is no run: it may be the stage of a run still going
+    candidates = [results_dir] + sorted(d for d in dirs if not any(s.startswith(".") for s in d.relative_to(results_dir).parts))
     for d in candidates:
         entry = {"run": str(d.relative_to(results_dir)) or "."}
         found = False
@@ -560,18 +554,17 @@ def cmd_report(args) -> int:
             row[f"{family}_mc_acc"] = mc_acc
             row[f"{family}_mc_params"] = mc_p
         rows.append(row)
-    out_dir = Path(args.out) if args.out else results_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=REPORT_FIELDS)
-        w.writeheader()
-        w.writerows(rows)
     widths = {k: max(len(k), *(len(r[k]) for r in rows)) for k in REPORT_FIELDS}
     lines = ["  ".join(k.ljust(widths[k]) for k in REPORT_FIELDS)]
     for r in rows:
         lines.append("  ".join(r[k].ljust(widths[k]) for k in REPORT_FIELDS))
     text = "\n".join(lines) + "\n(* = no entry met the baseline accuracy; best available shown)\n"
-    (out_dir / "report.txt").write_text(text)
+    with _staged(Path(args.out) if args.out else results_dir) as stage:
+        with open(stage / "report.csv", "w", newline="") as f:
+            w = csv.DictWriter(f, fieldnames=REPORT_FIELDS)
+            w.writeheader()
+            w.writerows(rows)
+        (stage / "report.txt").write_text(text)
     print(text)
     return EXIT_OK
 

@@ -1047,6 +1047,26 @@ MANIFEST_ERRORS = {
     "idx_negative_val_fraction": (
         "prep", with_dataset({"format": "idx", "images": "i", "labels": "l", "val_fraction": -0.1}), []
     ),
+    "synth_negative_seed": ("synth", lambda m: m.update(seed=-1), []),
+    "synth_negative_seed_flag": ("synth", lambda m: None, ["--seed", "-1"]),
+    "baseline_negative_seed": ("baseline", lambda m: m.update(seed=-2), []),
+    "sweep_negative_seed": ("sweep", lambda m: m.update(seed=-1), []),
+    "sweep_negative_seed_flag": ("sweep", lambda m: None, ["--seed", "-3"]),
+    "negative_data_seed": ("synth", lambda m: m["dataset"].update(data_seed=-1), []),
+    "negative_split_seed": ("prep", lambda m: m["dataset"]["split"].update(seed=-1), []),
+    "idx_negative_split_seed": (
+        "prep", with_dataset({"format": "idx", "images": "i", "labels": "l", "test_images": "ti", "test_labels": "tl", "split": {"seed": -1}}), []
+    ),
+    "idx_test_images_without_labels": ("prep", with_dataset({"format": "idx", "images": "i", "labels": "l", "test_images": "ti"}), []),
+    "split_files_not_a_list": ("prep", lambda m: m["dataset"]["split"].update(files="tr.txt"), []),
+    "split_files_two_paths": ("prep", lambda m: m["dataset"]["split"].update(files=["tr.txt", "va.txt"]), []),
+    "split_files_not_paths": ("prep", lambda m: m["dataset"]["split"].update(files=[1, 2, 3]), []),
+    "synthetic_rows_not_integer": ("prep", lambda m: m["dataset"].update(rows="many"), []),
+    "synthetic_zero_features": ("prep", lambda m: m["dataset"].update(features=0), []),
+    "blobs_fractional_rows_per_class": (
+        "prep", with_dataset({"format": "synthetic", "generator": "blobs", "rows_per_class": 2.5}), []
+    ),
+    "moons_negative_rows": ("prep", with_dataset({"format": "synthetic", "generator": "moons", "rows": -4}), []),
 }
 
 
@@ -1166,6 +1186,17 @@ def test_report_on_a_sweep_pins_baseline_reduced_and_full_cells(tmp_path):
     ]
 
 
+def test_report_skips_hidden_directories(tmp_path):
+    out = tmp_path / "run"
+    assert main(["synth", "--manifest", write_manifest(tmp_path, toy_manifest(out))]) == 0
+    # the stage of a run that is still going, or was killed
+    (out / ".staging-x").mkdir()
+    (out / ".staging-x" / "metrics.json").write_bytes((out / "metrics.json").read_bytes())
+    assert main(["report", "--results", str(tmp_path), "--out", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "report.csv", newline="") as f:
+        assert [row["run"] for row in csv.DictReader(f)] == ["run"]
+
+
 def test_report_missing_dir_is_data_error(tmp_path):
     assert main(["report", "--results", str(tmp_path / "none")]) == 3
 
@@ -1180,13 +1211,13 @@ def test_artifacts_confined_to_out_dir(tmp_path, monkeypatch):
     assert all(str(p).startswith(str(out)) for p in created)
 
 
-def fail_run_at_seed(monkeypatch, seed):
+def fail_run_at_seed(monkeypatch, seed, error=RuntimeError):
     """Make synth's run of `seed` fail after its history file exists."""
     real = run_scheme
 
     def failing(cfg, data, **kwargs):
         if cfg.seed == seed:
-            raise RuntimeError("run failure")
+            raise error("run failure")
         return real(cfg, data, **kwargs)
 
     monkeypatch.setattr("growprune.cli.run_scheme", failing)
@@ -1202,6 +1233,36 @@ def test_failed_run_removes_the_directories_it_created(tmp_path, monkeypatch):
     assert (tmp_path / "new" / "keep.txt").read_text() == "mine\n"
 
 
+def test_failed_run_keeps_what_another_run_wrote_meanwhile(tmp_path, monkeypatch):
+    results = tmp_path / "results"
+
+    def failing(cfg, data, **kwargs):
+        # a run started alongside into the same new parent finishes first
+        (results / "B").mkdir()
+        (results / "B" / "metrics.json").write_text("{}\n")
+        raise RuntimeError("run failure")
+
+    monkeypatch.setattr("growprune.cli.run_scheme", failing)
+    assert main(["synth", "--manifest", write_manifest(tmp_path, toy_manifest(results / "A"))]) == 4
+    assert sorted(p.relative_to(results).as_posix() for p in results.rglob("*")) == ["B", "B/metrics.json"]
+
+
+def test_staged_files_move_deepest_first(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    moved = []
+    real = os.replace
+
+    def recording(src, dst):
+        moved.append(Path(dst).relative_to(out).as_posix())
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording)
+    assert main(["synth", "--manifest", write_manifest(tmp_path, toy_manifest(out, seeds=2))]) == 0
+    # the top-level records are the last to describe the moved files
+    assert moved[-2:] == ["effective_manifest.json", "metrics.json"]
+    assert all(name.startswith("seed_") for name in moved[:-2])
+
+
 def test_failed_run_removes_partial_artifacts(tmp_path, monkeypatch):
     out = tmp_path / "broken"
     fail_run_at_seed(monkeypatch, 0)
@@ -1209,3 +1270,77 @@ def test_failed_run_removes_partial_artifacts(tmp_path, monkeypatch):
     assert main(["synth", "--manifest", m]) == 4
     leftovers = [p for p in out.rglob("*") if p.is_file()]
     assert leftovers == []
+
+
+def tree(root):
+    """Every path under `root`, with the bytes of each file."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def run_failing(argv, error):
+    """main's exit code, or None where `error` is an interrupt it lets through."""
+    if error is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        return None
+    return main(argv)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failed_synth_rerun_keeps_the_first_run(tmp_path, monkeypatch, error):
+    out = tmp_path / "out"
+    argv = ["synth", "--manifest", write_manifest(tmp_path, toy_manifest(out, seeds=2))]
+    assert main(argv) == 0
+    first = tree(out)
+    assert "seed_1/history.csv" in first and not any(name.startswith(".") for name in first)
+    fail_run_at_seed(monkeypatch, 1, error)
+    assert run_failing(argv, error) == (None if error is KeyboardInterrupt else 4)
+    assert tree(out) == first
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+def test_failed_sweep_rerun_keeps_the_first_run(tmp_path, monkeypatch, error):
+    out = tmp_path / "out"
+    argv = ["sweep", "--manifest", write_manifest(tmp_path, sweep_manifest(out))]
+    assert main(argv) == 0
+    first = tree(out)
+
+    def failing(bundle, path):
+        path.write_text("{")
+        raise error("disk full")
+
+    # baseline.json, candidates.csv and sweep.csv are written before the bundle
+    monkeypatch.setattr("growprune.cli.save_bundle", failing)
+    assert run_failing(argv, error) == (None if error is KeyboardInterrupt else 4)
+    assert tree(out) == first
+
+
+def test_interrupted_run_creates_no_directory(tmp_path, monkeypatch):
+    m = write_manifest(tmp_path, toy_manifest(tmp_path / "new" / "out", seeds=2))
+    fail_run_at_seed(monkeypatch, 1, KeyboardInterrupt)
+    assert run_failing(["synth", "--manifest", m], KeyboardInterrupt) is None
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "manifest.json"]
+
+
+def write_partly_then_fail(path):
+    with open(path, "w") as f:
+        f.write("{")
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("command", ["prep", "baseline", "report"])
+def test_failed_write_leaves_no_output(tmp_path, monkeypatch, command):
+    runs = tmp_path / "runs"
+    manifest = {**toy_manifest(runs), "baseline": sweep_manifest(runs)["pipeline"]["baseline"]}
+    if command == "report":
+        assert main(["synth", "--manifest", write_manifest(tmp_path, manifest)]) == 0
+        flags = ["--results", str(runs)]
+        # report.csv is written before report.txt fails
+        monkeypatch.setattr(Path, "write_text", lambda path, text: write_partly_then_fail(path))
+    else:
+        flags = ["--manifest", write_manifest(tmp_path, manifest)]
+        # prep's dataset.npz is written before its summary fails
+        monkeypatch.setattr("growprune.cli._dump_json", lambda obj, path: write_partly_then_fail(path))
+    before = tree(tmp_path)
+    assert main([command, *flags, "--out", str(tmp_path / "new" / "out")]) == 4
+    assert tree(tmp_path) == before
