@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -100,10 +101,23 @@ def dataset_from_manifest(spec: dict) -> Dataset:
     if not spec:
         raise ManifestError("manifest is missing the dataset section")
     sp = spec.get("split", {})
+    if type(sp) is not dict:
+        raise ManifestError(f"dataset.split must be a mapping, got {sp!r}")
     _integer(sp.get("seed", 0), "dataset.split.seed", 0)
     files = sp.get("files")
     if "files" in sp and not (type(files) is list and len(files) == 3 and all(type(f) is str for f in files)):
         raise ManifestError(f"dataset.split.files must be a list of three paths, got {files!r}")
+    fractions = sp.get("fractions")
+    if "fractions" in sp and not (
+        type(fractions) is list
+        and len(fractions) in (2, 3)
+        and all(type(f) in (int, float) and 0 <= f <= 1 for f in fractions)
+        and sum(fractions) <= 1.0 + 1e-12
+    ):
+        raise ManifestError(
+            "dataset.split.fractions must be a list of two or three numbers >= 0 "
+            f"that sum to at most 1, got {fractions!r}"
+        )
     fmt = spec.get("format")
     if fmt == "npz":
         if "path" not in spec:
@@ -178,18 +192,33 @@ def _synthetic_from_spec(spec: dict) -> Dataset:
         ds = make_embedded_clusters(
             n_rows=_integer(spec.get("rows", 1000), "dataset.rows", 1),
             n_features=_integer(spec.get("features", 16), "dataset.features", 1),
-            n_classes=_integer(spec.get("classes", 4), "dataset.classes", 1),
+            n_classes=_integer(spec.get("classes", 4), "dataset.classes", 2),
             latent_dim=_integer(spec.get("latent_dim", 4), "dataset.latent_dim", 1),
             rng=rng,
-            separation=spec.get("separation", 3.0),
-            cluster_std=spec.get("cluster_std", 1.0),
-            ambient_noise=spec.get("ambient_noise", 0.1),
+            separation=_number(spec.get("separation", 3.0), "dataset.separation"),
+            cluster_std=_number(spec.get("cluster_std", 1.0), "dataset.cluster_std"),
+            ambient_noise=_number(spec.get("ambient_noise", 0.1), "dataset.ambient_noise"),
         )
     elif gen == "blobs":
-        centers = np.asarray(spec.get("centers", np.eye(3).tolist()))
-        ds = make_blobs(_integer(spec.get("rows_per_class", 200), "dataset.rows_per_class", 1), centers, spec.get("std", 0.5), rng)
+        centers = spec.get("centers", np.eye(3).tolist())
+        if not (
+            type(centers) is list
+            and len(centers) >= 2
+            and all(type(row) is list and 0 < len(row) == len(centers[0]) for row in centers)
+            and all(type(v) in (int, float) and math.isfinite(v) for row in centers for v in row)
+        ):
+            raise ManifestError(
+                f"dataset.centers must be at least two rows of finite numbers, all of one length, got {centers!r}"
+            )
+        ds = make_blobs(
+            _integer(spec.get("rows_per_class", 200), "dataset.rows_per_class", 1),
+            np.asarray(centers),
+            _number(spec.get("std", 0.5), "dataset.std"),
+            rng,
+        )
     elif gen == "moons":
-        ds = make_moons(_integer(spec.get("rows", 600), "dataset.rows", 1), spec.get("noise", 0.1), rng)
+        rows = _integer(spec.get("rows", 600), "dataset.rows", 1)
+        ds = make_moons(rows, _number(spec.get("noise", 0.1), "dataset.noise"), rng)
     else:
         raise ManifestError(f"unknown synthetic generator: {gen!r}")
     return _apply_split(ds, spec)
@@ -204,6 +233,12 @@ def _resolve_seeds(manifest: dict, args) -> list[int]:
 def _integer(value, name: str, low: int) -> int:
     if type(value) is not int or value < low:
         raise ManifestError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise ManifestError(f"{name} must be a finite number >= 0, got {value!r}")
     return value
 
 

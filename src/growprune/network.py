@@ -7,47 +7,45 @@ a fixed layer structure. Pruned weights are exactly zero, so the arithmetic
 works off the weight matrix alone.
 
 Forward and backward passes visit the same partition of the non-input
-neurons into segments (`_StepPlan.segments`). Hidden neurons are cut into
-runs wherever the layer id changes; a run with no nonzero weight between two
-of its own neurons is one segment, however wide, and any other run is cut
-every SEGMENT neurons. The outputs form the last segment, so no segment mixes
-hidden and output neurons. Each segment costs one GEMM for the contributions
-of all earlier neurons. The output segment's GEMMs start at the first row
-that holds a nonzero weight into the outputs, read from the weights: on an
-MLP the inputs, which feed no output, drop out of the forward GEMM, and the
+neurons into segments (`_StepPlan.segments`): hidden neurons are cut into
+layer runs wherever the layer id changes, each run is one segment, however
+wide, and the outputs form the last segment, so no segment mixes hidden and
+output neurons. Each segment costs one GEMM for the contributions of all
+earlier neurons. The output segment's GEMMs start at the first row that
+holds a nonzero weight into the outputs, read from the weights: on an MLP
+the inputs, which feed no output, drop out of the forward GEMM, and the
 backward pass multiplies dU by a C-ordered copy of the transposed weight
 block, which OpenBLAS's threaded kernels run ~10x faster than the strided
 transpose.
 
-Edges between two neurons of one segment (walk columns are the neurons that
-receive one) are finished by a walk over a neuron-major (segment, batch)
-copy of the segment, cut into sub-blocks of WALK_BLOCK neurons. The forward
-walk visits the sub-blocks in order: one GEMM adds the contributions of the
-earlier sub-blocks, then each receiver inside the sub-block adds those from
-inside it with one gemv over contiguous rows, in order. The backward pull
-does the same in reverse: one GEMM pulls into each sub-block's dx from the
-later sub-blocks' dU, then each sender inside it pulls from the later
-neurons of the sub-block and resets its dU. A run the mask holds no edge
-inside is one walk-free segment, read without its weights, which are zero
-off the mask; any other run is partitioned, and its sub-blocks described,
-by its nonzero weights. Activating a connection with weight zero therefore
-cannot perturb any float result.
+Edges between two neurons of one run (walk columns are the neurons that
+receive one) are finished by a walk over a neuron-major (run, batch) copy of
+the run, cut into sub-blocks of WALK_BLOCK neurons. The forward walk visits
+the sub-blocks in order: one GEMM adds the contributions of the earlier
+sub-blocks, then each receiver inside the sub-block adds those from inside
+it with one gemv over contiguous rows, in order. The backward pull does the
+same in reverse: one GEMM pulls into each sub-block's dx from the later
+sub-blocks' dU, then each sender inside it pulls from the later neurons of
+the sub-block and resets its dU. A run the mask holds no edge inside is a
+walk-free segment, read without its weights, which are zero off the mask;
+any other run's walk and sub-blocks are described by its nonzero weights.
+Activating a connection with weight zero therefore cannot perturb any float
+result.
 
 No edge ends at an input or starts at an output, so only the legal
 rectangle `Network.rect` (rows [0, hidden_end) by columns [n_in, n)) of the
 mask and weights can be nonzero. Every active connection lies in one of the
 `live_blocks`: a hidden layer run's columns (or the output columns) by the
-row range of the senders the mask activates into them. The backward pass
-writes each segment's dW only in the rows between the first and the last
-sender the mask activates into the segment's columns, a sub-block of the
-live block that holds those columns, so a merged layer run never multiplies
-its own same-layer square unless a grown edge lies in it. It leaves dU's
-input columns at zero: it never computes the gradient with respect to an
-input, which nothing consumes.
+row range of the senders the mask activates into them. Segments and live
+blocks line up one to one, and the backward pass writes each segment's dW
+in its live block only, so a layer run never multiplies its own same-layer
+square unless a grown edge lies in it. It leaves dU's input columns at
+zero: it never computes the gradient with respect to an input, which
+nothing consumes.
 
 Every call runs through a step plan (`_StepPlan`), built once per training
 call and once per public call. It fixes the layer runs, which of them the
-mask holds an edge inside, and per segment the dW target; it rebuilds the
+mask holds an edge inside, and each segment's dW target; it rebuilds the
 walk of a run whose nonzero pattern changed since the last step, since a
 grown edge starts at weight zero, where it needs no walk, and turns nonzero
 after the first update. It also owns the step buffers: the activations, dU
@@ -72,11 +70,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-SEGMENT = 128  # most hidden neurons in one segment
-# neurons per sub-block of a walking segment (`_run_segments`). One training
-# step of a 784-200-10 DAG with the full in-run triangle at batch 128 (2-core
-# host, medians) took 4.27 ms at 16, 4.24 at 32, 4.29 at 64, 4.32 at 8 and
-# 4.44 at 4, against 5.2 ms for a per-column walk over batch-major columns.
+# neurons per sub-block of a walking run (`_run_segment`). One SGD step at
+# batch 128 with the full in-run triangle (2-core host, medians of 15
+# interleaved runs, two sessions) took on 784-200-10 4.14-4.30 ms at 16,
+# 4.20-4.33 at 32, 4.30-4.37 at 64 and 4.24-4.30 at 8, and on 784-400-10
+# 8.21-8.44 ms at 16, 8.36-8.47 at 32, 8.43-8.49 at 64 and 8.48-8.53 at 8.
 WALK_BLOCK = 16
 # most neurons a checkpoint may name: its dense n x n float64 weights and bool
 # mask take 576 MiB at the ceiling, before `Network.validate`'s temporaries
@@ -205,39 +203,25 @@ def _layer_runs(net: Network) -> list[tuple[int, int, bool]]:
 _NO_WALK = np.empty(0, dtype=np.int64)
 
 
-def _run_segments(nonzero: np.ndarray, a: int, e: int) -> list[tuple[int, int, np.ndarray, tuple]]:
-    """Segments (s, t, walk, (0, blocks)) of the hidden run [a, e) whose
+def _run_segment(nonzero: np.ndarray, a: int, e: int) -> tuple[int, int, np.ndarray, tuple]:
+    """The segment (a, e, walk, (0, blocks)) of the hidden run [a, e) whose
     in-run nonzero weights are `nonzero`; see the module doc. `walk` holds
-    the offsets in [0, t - s) of the segment's walk columns. A walking
-    segment is cut into sub-blocks [p, q) of WALK_BLOCK neurons, each listed
-    in `blocks` as (p, q, fed, receivers, feeds, senders): whether a nonzero
+    the offsets in [0, e - a) of the run's walk columns. A walking run is
+    cut into sub-blocks [p, q) of WALK_BLOCK neurons, each listed in
+    `blocks` as (p, q, fed, receivers, feeds, senders): whether a nonzero
     weight joins an earlier sub-block to it (fed) and it to a later one
     (feeds), its neurons that receive a nonzero weight from inside it in
     ascending order, and those that send one inside it in descending order.
-    A segment that does not walk has no blocks."""
-    if not nonzero.any():
-        return [(a, e, _NO_WALK, (0, ()))]
-    segs = []
-    for s in range(a, e, SEGMENT):
-        t = min(s + SEGMENT, e)
-        nz = nonzero[s - a : t - a, s - a : t - a]
-        walk = np.flatnonzero(nz.any(axis=0))
-        blocks = []
-        for p in range(0, t - s if walk.size else 0, WALK_BLOCK):
-            q = min(p + WALK_BLOCK, t - s)
-            inner = nz[p:q, p:q]
-            receivers = (np.flatnonzero(inner.any(axis=0)) + p).tolist()
-            senders = (np.flatnonzero(inner.any(axis=1)) + p).tolist()[::-1]
-            blocks.append((p, q, bool(nz[:p, p:q].any()), receivers, bool(nz[p:q, q:].any()), senders))
-        segs.append((s, t, walk, (0, tuple(blocks))))
-    return segs
-
-
-def _mask_rows(net: Network, s: int, e: int) -> tuple[int, int] | None:
-    """First and one past the last sender the mask activates into columns
-    [s, e), or None when the columns receive no active edge."""
-    rows = np.flatnonzero(net.mask[:e, s:e].any(axis=1))
-    return (int(rows[0]), int(rows[-1]) + 1) if rows.size else None
+    A run that does not walk has no blocks."""
+    walk = np.flatnonzero(nonzero.any(axis=0))
+    blocks = []
+    for p in range(0, e - a if walk.size else 0, WALK_BLOCK):
+        q = min(p + WALK_BLOCK, e - a)
+        inner = nonzero[p:q, p:q]
+        receivers = (np.flatnonzero(inner.any(axis=0)) + p).tolist()
+        senders = (np.flatnonzero(inner.any(axis=1)) + p).tolist()[::-1]
+        blocks.append((p, q, bool(nonzero[:p, p:q].any()), receivers, bool(nonzero[p:q, q:].any()), senders))
+    return a, e, walk, (0, tuple(blocks))
 
 
 def live_blocks(net: Network) -> list[tuple[slice, slice]]:
@@ -246,54 +230,57 @@ def live_blocks(net: Network) -> list[tuple[slice, slice]]:
     mask activates into them. Read from the mask and layer ids only."""
     blocks = []
     for s, e, _ in _layer_runs(net) + [(net.hidden_end, net.n, False)]:
-        rows = _mask_rows(net, s, e)
-        if rows is not None:
-            blocks.append((slice(*rows), slice(s, e)))
+        rows = np.flatnonzero(net.mask[:e, s:e].any(axis=1))
+        if rows.size:
+            blocks.append((slice(int(rows[0]), int(rows[-1]) + 1), slice(s, e)))
     return blocks
 
 
 class _StepPlan:
-    """What the steps of one call share (module doc): the segment partition,
-    rebuilt run by run when a run's nonzero pattern changes, each segment's
-    dW target, and the activation, dU and dx buffers every step reuses.
+    """What the steps of one call share (module doc): one segment per layer
+    run, rebuilt when the run's nonzero pattern changes, each segment's dW
+    target, and the activation, dU and dx buffers every step reuses.
 
-    `dw_blocks` holds (block, buffer, reads_all) triples whose blocks cover
-    the columns of every segment's dW; each segment's dW goes into the buffer
-    of the block that holds its columns. `reads_all` says whether the
-    buffer's reader reads every entry of the block, so that the entries the
-    mask leaves inactive must be zero; a reader of the active entries alone
-    gets them as the GEMM leaves them. With no blocks the plan writes no dW.
-    A run the mask holds no edge inside is one walk-free segment whose
-    weights are never read; the mask must not change while the plan is used.
+    `dw_blocks` holds a (block, buffer, reads_all) triple per live block
+    (`live_blocks`); the dW of the segment whose columns a block holds goes
+    into its whole buffer. `reads_all` says whether the buffer's reader
+    reads every entry of the block, so that the entries the mask leaves
+    inactive must be zero; a reader of the active entries alone gets them as
+    the GEMM leaves them. With no blocks the plan writes no dW. A run the
+    mask holds no edge inside is a walk-free segment whose weights are never
+    read; the mask must not change while the plan is used.
     """
 
     def __init__(self, net: Network, dw_blocks: list):
         self.net = net
-        self.dw_blocks = dw_blocks
-        # [a, e, may walk, nonzero pattern the segments were built from, segments]
-        self.runs = [[a, e, inner, None, [(a, e, _NO_WALK, (0, ()))]] for a, e, inner in _layer_runs(net)]
-        self.targets: dict[tuple[int, int], tuple | None] = {}
+        # [a, e, may walk, nonzero pattern the segment was built from, segment]
+        self.runs = [[a, e, inner, None, (a, e, _NO_WALK, (0, ()))] for a, e, inner in _layer_runs(net)]
+        # by a segment's first column: its dW block's rows [r0, r1), buffer,
+        # and mask where the reader needs the inactive entries zeroed, else None
+        self.targets = {}
+        for (rows, cols), buf, reads_all in dw_blocks:
+            live = net.mask[rows, cols]
+            self.targets[cols.start] = (rows.start, rows.stop, buf, live if reads_all and not live.all() else None)
         self.bufs = None
 
     def segments(self) -> list[tuple[int, int, np.ndarray, tuple]]:
         """This step's segments, in order: (s, e, walk, (r, blocks)) with the
-        first row r the segment's forward GEMM reads (`_run_segments` gives
+        first row r the segment's forward GEMM reads (`_run_segment` gives
         the rest). The outputs send no edges, so their segment never walks,
         and it reads from the first row that holds a nonzero weight into
         them."""
         net, w = self.net, self.net.weights
         he = net.hidden_end
-        segs = []
         for run in self.runs:
             a, e, may_walk, last, _ = run
             if may_walk:
                 nonzero = w[a:e, a:e] != 0
                 if last is None or not np.array_equal(nonzero, last):
-                    run[3:] = nonzero, _run_segments(nonzero, a, e)
-            segs += run[4]
+                    run[3:] = nonzero, _run_segment(nonzero, a, e)
         weighted = w[:he, he:].any(axis=1)
-        segs.append((he, net.n, _NO_WALK, (int(weighted.argmax()) if weighted.any() else he, ())))
-        return segs
+        return [run[4] for run in self.runs] + [
+            (he, net.n, _NO_WALK, (int(weighted.argmax()) if weighted.any() else he, ()))
+        ]
 
     def buffers(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, dU, dx) for a batch of b rows: views of buffers kept for the
@@ -304,26 +291,6 @@ class _StepPlan:
             n = self.net.n
             self.bufs = (np.empty((b, n)), np.zeros((b, n)), np.empty((b, n)))
         return tuple(buf[:b] for buf in self.bufs)
-
-    def target(self, s: int, e: int) -> tuple | None:
-        """(r0, r1, blk, live) for the segment columns [s, e): the mask's
-        sender rows [r0, r1) into them, the view of the dW buffer that takes
-        their dW block, and that mask block where the buffer's reader needs
-        the inactive entries zeroed, else None. None when the columns receive
-        no active edge or the plan writes no dW."""
-        if not self.dw_blocks:
-            return None
-        if (s, e) not in self.targets:
-            rows = _mask_rows(self.net, s, e)
-            if rows is None:
-                self.targets[s, e] = None
-            else:
-                r0, r1 = rows
-                (br, bc), buf, reads_all = next(d for d in self.dw_blocks if d[0][1].start <= s < d[0][1].stop)
-                live = self.net.mask[r0:r1, s:e]
-                blk = buf[r0 - br.start : r1 - br.start, s - bc.start : e - bc.start]
-                self.targets[s, e] = (r0, r1, blk, live if reads_all and not live.all() else None)
-        return self.targets[s, e]
 
 
 def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
@@ -372,12 +339,11 @@ def _forward(net: Network, batch: np.ndarray, segs: list, x: np.ndarray | None =
 
 
 def _walk(ws: np.ndarray, blocks: tuple, ub: np.ndarray) -> np.ndarray:
-    """The preactivations of a walking segment with in-segment weights `ws`
-    and sub-blocks `blocks` (`_run_segments`), from `ub`, the part of every
-    neuron before the segment. Each sub-block adds the earlier sub-blocks'
-    part with one GEMM, then each of its receivers the part from inside the
-    sub-block with one gemv, in order. Runs neuron-major and returns a
-    (batch, segment) view."""
+    """The preactivations of a walking run with in-run weights `ws` and
+    sub-blocks `blocks` (`_run_segment`), from `ub`, the part of every neuron
+    before the run. Each sub-block adds the earlier sub-blocks' part with one
+    GEMM, then each of its receivers the part from inside the sub-block with
+    one gemv, in order. Runs neuron-major and returns a (batch, run) view."""
     ut = np.ascontiguousarray(ub.T)
     xt = np.maximum(ut, 0.0)
     for p, q, fed, receivers, _, _ in blocks:
@@ -391,12 +357,12 @@ def _walk(ws: np.ndarray, blocks: tuple, ub: np.ndarray) -> np.ndarray:
 
 
 def _pull(ws: np.ndarray, blocks: tuple, xs: np.ndarray, dxs: np.ndarray) -> np.ndarray:
-    """dU of a walking segment with in-segment weights `ws`, activations `xs`
-    and `dxs`, the part of dx from every neuron after the segment: `_walk`
-    in reverse. Each sub-block, from the last, adds to dx what the later
+    """dU of a walking run with in-run weights `ws`, activations `xs` and
+    `dxs`, the part of dx from every neuron after the run: `_walk` in
+    reverse. Each sub-block, from the last, adds to dx what the later
     sub-blocks pull with one GEMM and sets its dU, then each of its senders,
     from the last, pulls from inside the sub-block with one gemv and resets
-    its dU. Runs neuron-major and returns a (batch, segment) view."""
+    its dU. Runs neuron-major and returns a (batch, run) view."""
     gate = np.ascontiguousarray(xs.T) > 0.0  # ReLU
     dxt = np.ascontiguousarray(dxs.T)
     dut = np.empty_like(dxt)
@@ -449,22 +415,18 @@ def loss_and_gradients(
     `_plan` is for training, which builds one `_StepPlan` per call over the
     contiguous dW buffers of its live blocks and validates the batch and
     labels once, so that this call does not. Each segment then writes its dW
-    block, its columns by the row range of the senders the mask activates
-    into them (`_mask_rows`), into the buffer of the live block that holds
-    those columns. This is the only write to a buffer. Where the buffer's
-    reader reads the whole block, the write leaves zero wherever the mask is
-    False (a dense block, mask all True, skips the mask multiply, which
-    would change no float); a reader of the active entries alone gets the
-    inactive ones unmasked. Each buffer must be zero outside its segments'
-    blocks, which holds when freshly zeroed and after every earlier call
-    under the same mask. dW is then returned as None, and dU is a view of the
-    plan's buffer, which the next call overwrites. Without a plan, the call
-    validates its inputs and runs a one-off plan that writes a fresh n x n
-    dW.
+    into the whole buffer of its live block, the only write to a buffer.
+    Where the buffer's reader reads the whole block, the write leaves zero
+    wherever the mask is False (a dense block, mask all True, skips the mask
+    multiply, which would change no float); a reader of the active entries
+    alone gets the inactive ones unmasked. dW is then returned as None, and
+    dU is a view of the plan's buffer, which the next call overwrites.
+    Without a plan, the call validates its inputs and runs a one-off plan
+    whose buffers are the live blocks' views of a fresh n x n dW.
 
-    Segments are visited in reverse; a walking segment pulls its dU through
-    its sub-blocks in reverse (`_pull`, module doc). Each sub-block's GEMM
-    needs dU final in every later neuron of the segment, which the reverse
+    Segments are visited in reverse; a walking run pulls its dU through its
+    sub-blocks in reverse (`_pull`, module doc). Each sub-block's GEMM needs
+    dU final in every later neuron of the run, which the reverse
     order gives; each sender's gemv needs it final in the later neurons of
     its sub-block, which the descending order of the senders gives, since
     a neuron that sends nothing inside the sub-block has its dU set before
@@ -474,10 +436,9 @@ def loss_and_gradients(
     if _plan is None:
         labels = _check_labels(net, labels)
         batch = _check_batch(net, batch)
-        n = net.n
-        dw = np.zeros((n, n))
-        # the whole n x n dW is one block at the origin, read whole
-        _plan = _StepPlan(net, [((slice(0, n), slice(0, n)), dw, True)])
+        dw = np.zeros((net.n, net.n))
+        # each live block's dW is written into its view of dW, read whole
+        _plan = _StepPlan(net, [(blk, dw[blk], True) for blk in live_blocks(net)])
     loss, dbias, du, _ = _backprop(net, batch, labels, weight_decay, _plan)
     return loss, dw, dbias, du
 
@@ -521,7 +482,7 @@ def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay:
                 np.multiply(dx[:, s:e], x[:, s:e] > 0.0, out=du[:, s:e])
             # nothing consumes the gradient of an input, so rows :n_in are skipped
             dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
-        target = plan.target(s, e)
+        target = plan.targets.get(s)
         if target is None:
             continue
         r0, r1, blk, live = target

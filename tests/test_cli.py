@@ -1067,6 +1067,26 @@ MANIFEST_ERRORS = {
         "prep", with_dataset({"format": "synthetic", "generator": "blobs", "rows_per_class": 2.5}), []
     ),
     "moons_negative_rows": ("prep", with_dataset({"format": "synthetic", "generator": "moons", "rows": -4}), []),
+    "split_not_a_mapping": ("prep", lambda m: m["dataset"].update(split=5), []),
+    "split_fraction_not_a_number": ("prep", lambda m: m["dataset"]["split"].update(fractions=["a", 0.1]), []),
+    "split_fractions_not_a_list": ("prep", lambda m: m["dataset"]["split"].update(fractions=0.7), []),
+    "split_bool_fraction": ("prep", lambda m: m["dataset"]["split"].update(fractions=[0.7, True]), []),
+    "split_nan_fraction": ("prep", lambda m: m["dataset"]["split"].update(fractions=[0.7, float("nan")]), []),
+    "split_fractions_over_1": ("prep", lambda m: m["dataset"]["split"].update(fractions=[0.7, 0.4]), []),
+    "split_one_fraction": ("prep", lambda m: m["dataset"]["split"].update(fractions=[0.7]), []),
+    "synthetic_one_class": ("prep", lambda m: m["dataset"].update(classes=1), []),
+    "synthetic_separation_not_a_number": ("prep", lambda m: m["dataset"].update(separation="x"), []),
+    "synthetic_inf_cluster_std": ("prep", lambda m: m["dataset"].update(cluster_std=float("inf")), []),
+    "synthetic_negative_noise": ("prep", lambda m: m["dataset"].update(ambient_noise=-0.1), []),
+    "blobs_one_center": ("prep", with_dataset({"format": "synthetic", "generator": "blobs", "centers": [[0.0, 1.0]]}), []),
+    "blobs_ragged_centers": (
+        "prep", with_dataset({"format": "synthetic", "generator": "blobs", "centers": [[0.0, 1.0], [2.0]]}), []
+    ),
+    "blobs_nan_center": (
+        "prep", with_dataset({"format": "synthetic", "generator": "blobs", "centers": [[0.0, 1.0], [2.0, float("nan")]]}), []
+    ),
+    "blobs_std_not_a_number": ("prep", with_dataset({"format": "synthetic", "generator": "blobs", "std": "wide"}), []),
+    "moons_nan_noise": ("prep", with_dataset({"format": "synthetic", "generator": "moons", "noise": float("nan")}), []),
 }
 
 

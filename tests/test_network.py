@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from growprune.network import (
-    SEGMENT,
     WALK_BLOCK,
     Network,
     UnreachableOutputError,
@@ -110,15 +109,15 @@ def test_segments_follow_layers_and_keep_outputs_apart(rng):
     # an active zero-weight edge inside the run changes nothing
     net.mask[5, 6] = True
     assert bounds(net) == [(5, 135), (135, 155), (155, 158)]
-    # one nonzero in-run weight cuts that run every SEGMENT neurons
+    # one nonzero in-run weight makes that run walk, still as one segment
     net.weights[5, 6] = 0.5
-    assert bounds(net) == [(5, 133), (133, 135), (135, 155), (155, 158)]
-    assert [walk.tolist() for _, _, walk, _ in _StepPlan(net, []).segments()] == [[1], [], [], []]
+    assert bounds(net) == [(5, 135), (135, 155), (155, 158)]
+    assert [walk.tolist() for _, _, walk, _ in _StepPlan(net, []).segments()] == [[1], [], []]
     # without layer ids all hidden neurons form one run, and the layer-1 to
     # layer-2 weights lie inside it
     net.weights[5, 6] = 0.0
     net.layers = None
-    assert bounds(net) == [(5, 133), (133, 155), (155, 158)]
+    assert bounds(net) == [(5, 155), (155, 158)]
     assert bounds(Network(4, 0, 2)) == [(4, 6)]
     # a hidden layer id that comes back after another one starts a new segment
     net = layered_dag(rng, [2, 3])
@@ -127,13 +126,13 @@ def test_segments_follow_layers_and_keep_outputs_apart(rng):
 
 
 def test_forward_multi_segment_network_matches_oracle(rng):
-    # three layer ids, one layer wider than SEGMENT, edges inside every segment
+    # three layer ids, one layer 137 wide, edges inside every segment
     while True:
-        net = layered_dag(rng, [SEGMENT + 9, 5, 12])
+        net = layered_dag(rng, [137, 5, 12])
         segs = bounds(net)
         if all(np.any(net.weights[s:e, s:e]) for s, e in segs[:-1]):
             break
-    assert len(segs) == 5
+    assert [(s - net.n_in, e - net.n_in) for s, e in segs[:-1]] == [(0, 137), (137, 142), (142, 154)]
     x = rng.normal(size=(3, net.n_in))
     got = forward(net, x).x
     for row, sample in zip(got, x):
@@ -154,10 +153,10 @@ def test_growing_in_run_edges_into_a_merged_run_keeps_logits_bitwise(rng):
 
 
 def test_gradients_match_fd_on_merged_run_with_a_zero_weight_edge(rng):
-    # one hidden layer wider than SEGMENT, merged into one segment because no
-    # weight joins two of its neurons; then one such edge is grown at zero
+    # one hidden layer 148 wide, one walk-free segment because no weight
+    # joins two of its neurons; then one such edge is grown at zero
     while True:
-        net = from_mlp([3, SEGMENT + 20, 2], rng)
+        net = from_mlp([3, 148, 2], rng)
         x = rng.normal(size=(3, 3))
         trace = forward(net, x)
         if np.abs(trace.u[:, 3 : net.hidden_end]).min() > 1e-3:
@@ -208,14 +207,14 @@ def test_gradients_match_fd_on_multi_segment_network(rng):
 
 def test_gradients_match_fd_on_wide_segment(rng):
     while True:
-        net = layered_dag(rng, [SEGMENT + 9, 6], density=0.05)
+        net = layered_dag(rng, [137, 6], density=0.05)
         x = rng.normal(size=(3, net.n_in))
         uh = forward(net, x).u[:, net.n_in : net.hidden_end]
         if np.abs(uh).min() > 1e-3:
             break
     y = rng.integers(0, net.n_out, size=3)
-    s, e, *_ = _StepPlan(net, []).segments()[0]
-    assert e - s == SEGMENT
+    s, e, walk, _ = _StepPlan(net, []).segments()[0]
+    assert e - s == 137 and walk.size
     zero = free_intra_segment_pairs(net)[0]
     assert s <= zero[0] < zero[1] < e
     net.mask[zero] = 1.0
@@ -226,7 +225,7 @@ def test_gradients_match_fd_on_wide_segment(rng):
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_hidden=st.integers(0, 2 * SEGMENT + 20),
+    n_hidden=st.integers(0, 276),
     n_layers=st.integers(0, 5),
     sort_layers=st.booleans(),
     density=st.floats(0.0, 0.3),
@@ -252,11 +251,11 @@ def test_forward_matches_oracle_on_random_layer_ids(seed, n_hidden, n_layers, so
 )
 @settings(max_examples=25)
 def test_gradients_match_backprop_oracle_on_dag_runs(seed, widths, wide, density, weight_decay):
-    # `wide` adds a run wider than SEGMENT; in every segment with an edge
+    # `wide` adds a run wider than 128 neurons; in every segment with an edge
     # between two of its neurons, the first such neuron only sends and the
     # last only receives
     rng = make_rng(seed)
-    widths = widths + [SEGMENT + wide] if wide else widths
+    widths = widths + [128 + wide] if wide else widths
     net = layered_dag(rng, widths, density=density)
     net.weights *= 1.0 / np.sqrt(max(1.0, density * net.n))
     x = rng.normal(size=(3, net.n_in))
@@ -286,12 +285,13 @@ def one_run_dag(rng, width, in_run, n_in=4, n_out=3):
 
 def straddling_pattern(rng, width):
     """A sparse in-run pattern with walk columns on both sides of every
-    sub-block edge and of the SEGMENT cut, and edges across them."""
+    sub-block edge, edges across them, and an edge from the first neuron of
+    the run to the last."""
     in_run = np.triu(rng.random((width, width)) < 0.03, 1)
     for edge in range(WALK_BLOCK, width, WALK_BLOCK):
         in_run[edge - 2, edge - 1] = in_run[edge - 1, edge] = in_run[edge, edge + 1] = True
         in_run[edge - 3, edge + 2] = True
-    in_run[SEGMENT - 1, SEGMENT] = in_run[SEGMENT - 5, SEGMENT + 3] = True
+    in_run[0, width - 1] = True
     return in_run
 
 
@@ -307,13 +307,15 @@ IN_RUN_PATTERNS = {
 @pytest.mark.parametrize("pattern", sorted(IN_RUN_PATTERNS))
 def test_blocked_walk_matches_the_backprop_oracle(pattern):
     rng = make_rng(21)
-    width = SEGMENT + 2 * WALK_BLOCK + 5
+    width = 165
     net = one_run_dag(rng, width, IN_RUN_PATTERNS[pattern](rng, width))
     segs = _StepPlan(net, []).segments()
-    assert [(s - net.n_in, e - net.n_in) for s, e, *_ in segs[:-1]] == [(0, SEGMENT), (SEGMENT, width)]
-    blocks = [blk for _, _, walk, (_, blks) in segs[:-1] if walk.size for blk in blks]
-    # every walking segment is cut into sub-blocks, with GEMMs between them
-    # and gemvs inside them
+    # the whole run is one segment
+    assert [(s - net.n_in, e - net.n_in) for s, e, *_ in segs[:-1]] == [(0, width)]
+    blocks = segs[0][3][1]
+    # the walking run is cut into sub-blocks, with GEMMs between them and
+    # gemvs inside them
+    assert len(blocks) == -(-width // WALK_BLOCK)
     assert sum(walk.size for _, _, walk, _ in segs[:-1]) > 2 * width // WALK_BLOCK
     assert any(fed for _, _, fed, *_ in blocks) and any(feeds for *_, feeds, _ in blocks)
     assert any(len(receivers) > 1 for _, _, _, receivers, *_ in blocks)
@@ -349,16 +351,16 @@ def test_a_zero_weight_input_to_output_edge_keeps_a_trained_mlp_bitwise(rng):
 
 def test_zero_weight_in_run_edges_keep_a_walking_dag_bitwise():
     rng = make_rng(8)
-    width = SEGMENT + WALK_BLOCK
+    width = 144
     net = one_run_dag(rng, width, straddling_pattern(rng, width))
     x = rng.normal(size=(6, net.n_in))
     y = rng.integers(0, net.n_out, size=6)
     walks = [walk.tolist() for _, _, walk, _ in _StepPlan(net, []).segments()]
     before = [forward(net, x).logits(net.n_out).copy(), *(np.copy(v) for v in loss_and_gradients(net, x, y))]
-    # inactive in-run pairs inside one sub-block, across sub-blocks and
-    # across the SEGMENT cut
+    # inactive in-run pairs inside one sub-block, across one sub-block edge
+    # and across most of the run
     a = net.n_in
-    for i, j in [(1, 3), (2, WALK_BLOCK + 4), (WALK_BLOCK - 1, 3 * WALK_BLOCK), (5, SEGMENT + 2)]:
+    for i, j in [(1, 3), (2, WALK_BLOCK + 4), (WALK_BLOCK - 1, 3 * WALK_BLOCK), (5, 130)]:
         assert not net.mask[a + i, a + j]
         net.mask[a + i, a + j] = True
     net.validate()

@@ -9,7 +9,6 @@ from growprune import schemes
 from growprune.archops import GrowthPolicy, grow_connections
 from growprune.data import make_blobs, make_moons, split
 from growprune.network import (
-    SEGMENT,
     _StepPlan,
     accuracy,
     checkpoint_dict,
@@ -88,12 +87,23 @@ def layered_random_dag():
 
 
 def wide_mlp_with_a_zero_weight_edge():
-    # the hidden run is one segment until training gives the grown in-run
-    # edge a nonzero weight, then it is cut at SEGMENT: the dW blocks change
-    # between steps while the optimizer's live blocks stay
-    net = from_mlp([4, SEGMENT + 20, 3], make_rng(5))
-    net.mask[4, 10] = net.mask[20, SEGMENT + 10] = True
-    assert len(_StepPlan(net, []).segments()) == 2
+    # the 148-wide hidden run is a segment without sub-blocks until training
+    # gives a grown in-run edge a nonzero weight, then it is cut into walk
+    # sub-blocks while its segment, live block and dW buffer stay
+    net = from_mlp([4, 148, 3], make_rng(5))
+    net.mask[4, 10] = net.mask[20, 138] = True
+    assert [seg[:2] for seg in _StepPlan(net, []).segments()] == [(4, 152), (152, 155)]
+    return net
+
+
+def wide_walking_run():
+    # a 400-wide hidden run with nonzero weights inside it from the start
+    rng = make_rng(11)
+    net = from_mlp([4, 400, 3], rng)
+    in_run = np.triu(rng.random((400, 400)) < 0.02, 1)
+    net.mask[4:404, 4:404] = in_run
+    net.weights[4:404, 4:404] = in_run * rng.normal(0.0, 0.05, size=(400, 400))
+    net.validate()
     return net
 
 
@@ -126,14 +136,40 @@ def test_rectangle_update_matches_dense_oracle(kind):
 
 @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
 def test_update_matches_dense_oracle_while_the_partition_changes(kind):
-    assert_training_matches_dense_oracle(wide_mlp_with_a_zero_weight_edge(), kind)
+    net = wide_mlp_with_a_zero_weight_edge()
+    assert not _StepPlan(net, []).segments()[0][3][1]
+    assert_training_matches_dense_oracle(net, kind)
+    # the trained in-run edges cut the run into walk sub-blocks
+    assert _StepPlan(net, []).segments()[0][3][1]
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_update_matches_dense_oracle_on_a_wide_walking_run(kind):
+    net = wide_walking_run()
+    assert _StepPlan(net, []).segments()[0][2].size
+    assert_training_matches_dense_oracle(net, kind)
+
+
+def test_dw_targets_are_the_live_blocks_keyed_by_first_column():
+    # one walking segment per run, so each segment's dW target is the whole
+    # buffer of the live block that starts at its first column
+    net = wide_walking_run()
+    blocks = live_blocks(net)
+    bufs = [np.zeros(net.mask[blk].shape) for blk in blocks]
+    plan = _StepPlan(net, [(blk, buf, True) for blk, buf in zip(blocks, bufs)])
+    segs = plan.segments()
+    assert [seg[:2] for seg in segs] == [(4, 404), (404, 407)] and segs[0][2].size
+    assert list(plan.targets) == [cols.start for _, cols in blocks] == [s for s, *_ in segs]
+    for (rows, cols), buf in zip(blocks, bufs):
+        r0, r1, target, _ = plan.targets[cols.start]
+        assert (r0, r1) == (rows.start, rows.stop) and target is buf
 
 
 @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
 def test_update_matches_dense_oracle_while_the_walk_changes(kind):
-    # every legal pair grown at weight zero: the hidden runs, narrower than
-    # SEGMENT, keep their partition, while the grown in-run edges join the
-    # walk after the first update
+    # every legal pair grown at weight zero: the hidden runs keep their
+    # segments, while the grown in-run edges join the walk after the first
+    # update
     net = layered_random_dag()
     grow_connections(net, GrowthPolicy("full"), make_rng(7))
     before = _StepPlan(net, []).segments()
