@@ -1,16 +1,19 @@
 """The three architecture-changing operations: connection growth, neuron
 growth, and magnitude-based connection pruning.
 
-All three mutate (mask, weights) in place and return the network. New
-connections always start at weight zero, so growth never changes what the
-network computes; pruning zeroes both the mask entry and the weight and then
-drops hidden neurons left without in- or out-edges.
+Each returns the network it was given; neuron growth and pruning may replace
+its mask and weight arrays. New connections start at weight zero, so growth
+never changes what the network computes; pruning zeroes both the mask entry
+and the weight and then drops hidden neurons left without in- or out-edges.
+Selection runs over flat offsets into the n x n mask, whose C order is the
+(i, j) order of every tie-break, and applies a choice in one write per array.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +89,11 @@ class PrunePolicy:
     def __post_init__(self):
         if (self.threshold is None) == (self.budget is None):
             raise ValueError("set exactly one of threshold/budget")
-        if self.threshold is not None and not self.threshold >= 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be >= 0")
+        t, b = self.threshold, self.budget
+        if t is not None and (isinstance(t, bool) or not isinstance(t, numbers.Real) or not t >= 0):
+            raise ValueError(f"threshold must be a number >= 0, got {t!r}")
+        if b is not None and (isinstance(b, bool) or not isinstance(b, numbers.Integral) or b < 0):
+            raise ValueError(f"budget must be an integer >= 0, got {b!r}")
 
 
 def _legal_pairs(net: Network, adjacent_only: bool) -> np.ndarray:
@@ -121,44 +125,32 @@ def _gradient_scores(net: Network, batch: tuple) -> np.ndarray:
     return (np.abs(trace.x).T @ np.abs(du)) / x.shape[0]
 
 
-def _activate(net: Network, pairs: np.ndarray) -> None:
-    if pairs.size:
-        net.mask[pairs[:, 0], pairs[:, 1]] = True
-        # grown connections start at exactly zero weight
-
-
 def grow_connections(
     net: Network, policy: GrowthPolicy, rng: np.random.Generator, max_new: int | None = None
 ) -> Network:
-    """Activate inactive legal connections per the policy; weights start at 0."""
-    cand = candidate_pair_mask(net, policy.adjacent_only)
-    pairs = np.argwhere(cand)  # (i, j) in lexicographic order
-    if pairs.shape[0] == 0:
+    """Activate inactive legal connections per the policy; weights start at 0.
+    Gradient growth ranks by score, ties in (i, j) order."""
+    cand = np.flatnonzero(candidate_pair_mask(net, policy.adjacent_only))
+    if cand.size == 0:
         log.info("connection growth: no legal inactive candidates, nothing to do")
         return net
-    if policy.kind == "full":
-        n_add = pairs.shape[0]
-    else:
-        n_add = math.ceil(policy.amount * pairs.shape[0])
+    n_add = cand.size if policy.kind == "full" else math.ceil(policy.amount * cand.size)
     if max_new is not None:
         n_add = min(n_add, max_new)
     if n_add <= 0:
         log.info("connection growth: budget exhausted, nothing to do")
         return net
-
     if policy.kind == "full":
-        chosen = pairs[:n_add]
+        chosen = cand[:n_add]
     elif policy.kind == "random":
-        idx = rng.choice(pairs.shape[0], size=n_add, replace=False)
-        chosen = pairs[np.sort(idx)]
+        chosen = cand[rng.choice(cand.size, size=n_add, replace=False)]
     else:
         if policy.data_batch is None:
             raise ValueError("gradient growth requires a data_batch")
-        scores = _gradient_scores(net, policy.data_batch)
-        s = scores[pairs[:, 0], pairs[:, 1]]
-        order = np.lexsort((pairs[:, 1], pairs[:, 0], -s))
-        chosen = pairs[order[:n_add]]
-    _activate(net, chosen)
+        s = _gradient_scores(net, policy.data_batch).take(cand)
+        chosen = cand[np.argsort(-s, kind="stable")[:n_add]]
+    # grown connections start at exactly zero weight
+    np.put(net.mask, chosen, True)
     return net
 
 
@@ -273,41 +265,34 @@ def prune_connections(net: Network, policy: PrunePolicy) -> Network:
     form keeps exactly `budget` largest-|w| connections, breaking ties by
     (i, j) lexicographic order.
     """
-    drop = _pruned_pairs(net, policy)
-    if drop is None:
+    keep = _kept(net, policy)
+    if keep is None:
         return net
-    net.mask[drop] = False
-    net.weights[drop] = 0.0
-    # the selection's index arrays (~16 MB at 400,000 active connections)
-    # are freed before prune_isolated_neurons copies the mask and weights
-    del drop
+    np.copyto(net.weights, 0.0, where=~keep)
+    net.mask = keep
     prune_isolated_neurons(net)
     return net
 
 
-def _pruned_pairs(net: Network, policy: PrunePolicy) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rows and columns of the connections `policy` deactivates, or None when
-    a budget keeps every active one."""
-    ii, jj = np.nonzero(net.mask)
-    n_active = ii.size
+def _kept(net: Network, policy: PrunePolicy) -> np.ndarray | None:
+    """The mask of active connections `policy` keeps, or None when a budget
+    keeps every active one. |w| is compared as w against +-t, which needs no
+    n x n float array."""
+    w, mask = net.weights, net.mask
     if policy.threshold is not None:
-        drop = np.abs(net.weights[ii, jj]) < policy.threshold
-        return ii[drop], jj[drop]
-    if policy.budget >= n_active:
-        if policy.budget > n_active:
-            log.info(
-                "prune budget %d exceeds %d active connections, nothing to do",
-                policy.budget,
-                n_active,
-            )
+        return mask & ~((w < policy.threshold) & (w > -policy.threshold))
+    active = w[mask]
+    if policy.budget >= active.size:
+        if policy.budget > active.size:
+            log.info("prune budget %d exceeds %d active connections, nothing to do", policy.budget, active.size)
         return None
+    if not policy.budget:
+        return np.zeros_like(mask)
     # keep every magnitude above the budget-th largest, then that value's
-    # ties in (i, j) order, which np.nonzero already follows
-    mags = np.abs(net.weights[ii, jj])
-    keep = np.zeros(n_active, dtype=bool)
-    if policy.budget:
-        cut = np.partition(mags, n_active - policy.budget)[n_active - policy.budget]
-        keep = mags > cut
-        ties = np.flatnonzero(mags == cut)
-        keep[ties[: policy.budget - np.count_nonzero(keep)]] = True
-    return ii[~keep], jj[~keep]
+    # ties in (i, j) order
+    k = active.size - policy.budget
+    cut = np.partition(np.abs(active), k)[k]
+    keep = mask & ((w > cut) | (w < -cut))
+    ties = np.flatnonzero(mask & ((w == cut) | (w == -cut)))
+    keep.flat[ties[: policy.budget - np.count_nonzero(keep)]] = True
+    return keep

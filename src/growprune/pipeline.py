@@ -316,7 +316,7 @@ def cell_rng(base_seed: int, cell_index: int) -> np.random.Generator:
 
 
 def _run_cell(args):
-    """One cell's sweep row, checkpoint, unrounded network energy and notes."""
+    """One cell's sweep row, best network, unrounded network energy and notes."""
     cand, reduced, scheme, base_seed, cell_index, pipe_cfg = args
     cfg = scheme_config_for_candidate(cand, scheme, pipe_cfg, base_seed)
     res = run_scheme(cfg, reduced, rng=cell_rng(base_seed, cell_index))
@@ -329,7 +329,7 @@ def _run_cell(args):
         **{k: summary[k] for k in ("val_acc", "test_acc", "connections", "depth")},
         "energy": round_energy(summary["energy_j"]),
     }
-    return row, checkpoint_dict(res.best_net, seed=base_seed), summary["energy_j"], res.notes
+    return row, res.best_net, summary["energy_j"], res.notes
 
 
 def synthesize_from_candidates(
@@ -343,9 +343,9 @@ def synthesize_from_candidates(
 
     Ties on validation accuracy break toward fewer connections, then toward
     the more structured scheme (C over B over A), then the earlier cell.
-    Returns the sweep rows in cell order, the winning row with its
-    checkpoint, unrounded network energy and notes, and the winner's
-    candidate and reduced dataset.
+    Returns the sweep rows in cell order, the winning row with its network,
+    unrounded network energy and notes, and the winner's candidate and
+    reduced dataset.
     """
     if not candidates.entries:
         raise ValueError("candidate set is empty")
@@ -365,12 +365,12 @@ def synthesize_from_candidates(
         range(len(rows)),
         key=lambda i: (-rows[i]["val_acc"], rows[i]["connections"], "CBA".index(rows[i]["scheme"])),
     )
-    _, checkpoint, energy_net, notes = results[best]
+    _, net, energy_net, notes = results[best]
     cand, reduced = cells[best][:2]
     return {
         "rows": rows,
         "best_row": rows[best],
-        "checkpoint": checkpoint,
+        "net": net,
         "energy_net": energy_net,
         "notes": notes,
         "candidate": cand,
@@ -404,7 +404,7 @@ def run_pipeline(
     best, reducer = sweep["best_row"], sweep["candidate"].reducer
     energy_reducer = estimate_energy(count_reducer_ops(reducer.d, reducer.k))
     bundle = make_bundle(
-        checkpoint=sweep["checkpoint"],
+        checkpoint=checkpoint_dict(sweep["net"], seed=best["seed"]),
         label_map=data.label_map,
         preprocess=[
             {"op": "normalize", **data_norm.normalization},

@@ -437,11 +437,11 @@ def _initial_network(cfg: SchemeConfig, data, rng: np.random.Generator) -> Netwo
         hidden = cfg.seed_hidden if cfg.seed_hidden is not None else max(4, n_out)
         net = from_mlp([n_in, hidden, n_out], rng)
         if cfg.init_prune_fraction > 0:
-            ii, jj = np.nonzero(net.mask)
-            k = int(round(cfg.init_prune_fraction * ii.size))
-            pick = rng.choice(ii.size, size=k, replace=False)
-            net.mask[ii[pick], jj[pick]] = False
-            net.weights[ii[pick], jj[pick]] = 0.0
+            active = np.flatnonzero(net.mask)
+            k = int(round(cfg.init_prune_fraction * active.size))
+            pick = active[rng.choice(active.size, size=k, replace=False)]
+            np.put(net.mask, pick, False)
+            np.put(net.weights, pick, 0.0)
         return net
     sizes = list(cfg.layer_sizes)
     if sizes[0] != n_in or sizes[-1] != n_out:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from growprune.archops import (
     prune_connections,
     _gradient_scores,
 )
+from growprune import archops
 from growprune.network import Network, _StepPlan, forward, from_mlp, loss_and_gradients
 from growprune.numerics import make_rng
 from conftest import random_dag
-from oracles import naive_backward, naive_forward, topk_by_magnitude
+from oracles import lexsort_budget_keep, naive_backward, naive_forward, topk_by_magnitude
 
 
 def assert_invariants(net):
@@ -352,6 +355,15 @@ def test_policy_validation():
         PrunePolicy(threshold=0.1, budget=5)
     with pytest.raises(ValueError):
         NeuronGrowthPolicy("division_random", noise_std=-1.0)
+    # a budget is an integer and a threshold a number; neither may be a bool
+    for bad in (dict(budget=2.5), dict(budget=True), dict(budget="3"), dict(budget=-1), dict(budget=np.float64(2.0))):
+        with pytest.raises(ValueError, match="budget"):
+            PrunePolicy(**bad)
+    for bad in (dict(threshold="0.1"), dict(threshold=True), dict(threshold=-0.1), dict(threshold=float("nan"))):
+        with pytest.raises(ValueError, match="threshold"):
+            PrunePolicy(**bad)
+    for good in (dict(budget=0), dict(budget=np.int64(3)), dict(threshold=0), dict(threshold=np.float32(0.5))):
+        PrunePolicy(**good)
 
 
 def test_division_duplicates_parent_contribution():
@@ -365,3 +377,52 @@ def test_division_duplicates_parent_contribution():
     assert forward(net, x).logits(1)[0, 0] == 1.0
     grow_neuron(net, NeuronGrowthPolicy("division_random", noise_std=0.0), make_rng(1))
     assert forward(net, x).logits(1)[0, 0] == 2.0
+
+
+def test_gradient_growth_ranks_zero_scores_in_lexicographic_order(rng):
+    # a hidden neuron that stays off on the batch scores 0 as a source and as
+    # a target, so the growth budget cuts through a block of tied zeros
+    net = from_mlp([4, 6, 5, 3], rng)
+    net.mask[:, 4] = False
+    net.weights[:, 4] = 0.0
+    net.bias[0] = -1.0
+    x = rng.normal(size=(8, 4))
+    y = rng.integers(0, 3, size=8)
+    scores = _gradient_scores(net, (x, y))
+    cand = np.argwhere(candidate_pair_mask(net))
+    s = scores[cand[:, 0], cand[:, 1]]
+    n_zero = len(cand) - np.count_nonzero(s)
+    assert n_zero >= 10
+    amount = (len(cand) - n_zero // 2) / len(cand)
+    n_add = int(np.ceil(amount * len(cand)))
+    assert len(cand) - n_zero < n_add < len(cand)
+    want = {(int(i), int(j)) for i, j in cand[np.lexsort((cand[:, 1], cand[:, 0], -s))[:n_add]]}
+    before = net.mask.copy()
+    grow_connections(net, GrowthPolicy("gradient", amount=amount, data_batch=(x, y)), rng)
+    assert {(int(i), int(j)) for i, j in np.argwhere(net.mask & ~before)} == want
+
+
+def test_budget_prune_after_full_regrowth_keeps_zero_weight_ties_in_order(rng):
+    # every regrown edge sits at weight zero, so a budget above the trained
+    # count cuts inside the zeros and keeps the first ones in (i, j) order
+    net = from_mlp([3, 5, 4, 2], rng)
+    n_trained = int(net.mask.sum())
+    grow_connections(net, GrowthPolicy("full"), rng)
+    assert int(net.mask.sum()) > n_trained + 10
+    budget = n_trained + 7
+    want = lexsort_budget_keep(net.mask, net.weights, budget)
+    with mock.patch.object(archops, "prune_isolated_neurons", lambda n: n):
+        prune_connections(net, PrunePolicy(budget=budget))
+    assert {(int(i), int(j)) for i, j in np.argwhere(net.mask)} == want
+    assert_invariants(net)
+
+
+def test_threshold_prune_keeps_weights_at_the_threshold():
+    # |w| == t survives in either sign; only |w| < t falls
+    net = Network(2, 1, 1)
+    net.mask[0, 2] = net.mask[1, 2] = net.mask[0, 3] = net.mask[2, 3] = True
+    net.weights[0, 2], net.weights[1, 2], net.weights[0, 3], net.weights[2, 3] = 0.25, -0.25, 0.2499, 0.4
+    prune_connections(net, PrunePolicy(threshold=0.25))
+    assert {(int(i), int(j)) for i, j in np.argwhere(net.mask)} == {(0, 2), (1, 2), (2, 3)}
+    assert net.weights[0, 3] == 0.0 and net.weights[0, 2] == 0.25 and net.weights[1, 2] == -0.25
+    assert_invariants(net)

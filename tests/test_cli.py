@@ -18,7 +18,16 @@ import pytest
 import growprune
 from growprune.cli import WORKERS_ENV, main
 from growprune.data import DataError, load_dataset, load_features_csv
-from growprune.network import MAX_CHECKPOINT_NEURONS, _StepPlan, checkpoint_dict, depth, from_mlp, load_checkpoint
+from growprune.energy import count_ops, estimate_energy, round_energy
+from growprune.network import (
+    MAX_CHECKPOINT_NEURONS,
+    _StepPlan,
+    checkpoint_dict,
+    connection_count,
+    depth,
+    from_mlp,
+    load_checkpoint,
+)
 from growprune.numerics import make_rng, one_blas_thread
 from growprune.pipeline import bundle_predict, load_bundle, make_bundle
 from conftest import random_dag
@@ -438,6 +447,23 @@ def test_sweep_through_a_worker_pool_matches_one_worker(tmp_path, monkeypatch):
         one = (tmp_path / "one" / name).read_bytes()
         assert (tmp_path / "flag" / name).read_bytes() == one
         assert (tmp_path / "env" / name).read_bytes() == one
+
+
+@pytest.mark.parametrize("command, energy_key", [("synth", "energy_j"), ("sweep", "energy_net_j")])
+def test_bundle_metrics_describe_the_served_network(tmp_path, command, energy_key):
+    # the connections, MACs and energy a bundle reports are those of the
+    # network load_bundle serves, not of some other network of the run
+    out = tmp_path / "o"
+    manifest = toy_manifest(out, seeds=2, scheme="B") if command == "synth" else sweep_manifest(out)
+    assert main([command, "--manifest", write_manifest(tmp_path, manifest)]) == 0
+    paths = sorted(out.glob("seed_*/bundle.json")) if command == "synth" else [out / "bundle.json"]
+    assert len(paths) == (2 if command == "synth" else 1)
+    for path in paths:
+        bundle, net = load_bundle(path)
+        assert connection_count(net) == bundle["metrics"]["connections"] > 0
+        ops = count_ops(net)
+        assert ops.macs == sum(length for runs in bundle["checkpoint"]["mask_rle"] for _, length in runs)
+        assert round_energy(estimate_energy(ops)) == bundle["metrics"][energy_key]
 
 
 def test_infer_empty_input_succeeds(tmp_path):

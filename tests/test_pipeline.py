@@ -231,7 +231,7 @@ def test_sweep_best_is_argmax_with_tiebreaks(monkeypatch):
     sweep = synthesize_from_candidates(data_norm, cands, small_pipeline_config(("A", "B", "C")), seeds=[1, 2])
     assert len(sweep["rows"]) == 12
     assert sweep["best_row"] == {"k": 3, "scheme": "C", "seed": 1, "val_acc": 0.9, "connections": 40}
-    assert (sweep["checkpoint"], sweep["energy_net"], sweep["notes"]) == ({"cell": 10}, 10.0, ["cell 10"])
+    assert (sweep["net"], sweep["energy_net"], sweep["notes"]) == ({"cell": 10}, 10.0, ["cell 10"])
     assert sweep["candidate"] is cands.entries[1]
     assert sweep["reduced"].n_features == 3
 

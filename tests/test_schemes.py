@@ -789,6 +789,7 @@ def test_scheme_config_rejects_bad_values(field, value):
         ({"op": "prune_connections", "budget": 2.5}, "budget"),
         ({"op": "prune_connections", "threshold": -0.1}, "threshold"),
         ({"op": "prune_connections", "threshold": float("nan")}, "threshold"),
+        ({"op": "prune_connections", "threshold": True}, "threshold"),
         ({"op": "prune_connections", "keep_fraction": 1.5}, "keep_fraction"),
         ({"op": "prune_connections", "prune_fraction": -0.25}, "prune_fraction"),
         ({"op": "prune_connections", "threshold": 0.1, "budget": 5}, "only one"),
