@@ -789,13 +789,13 @@ def test_scheme_config_rejects_bad_values(field, value):
         ({"op": "prune_connections", "budget": 2.5}, "budget"),
         ({"op": "prune_connections", "threshold": -0.1}, "threshold"),
         ({"op": "prune_connections", "threshold": float("nan")}, "threshold"),
-        ({"op": "prune_connections", "threshold": True}, "threshold"),
         ({"op": "prune_connections", "keep_fraction": 1.5}, "keep_fraction"),
         ({"op": "prune_connections", "prune_fraction": -0.25}, "prune_fraction"),
         ({"op": "prune_connections", "threshold": 0.1, "budget": 5}, "only one"),
         ({"op": "grow_connections", "fraction_of_possible": -0.5}, "amount"),
         ({"op": "grow_connections", "target_fraction_of_possible": 1.5}, "amount"),
         ({"op": "grow_connections", "fraction_of_possible": 0.5, "fraction_of_inactive": 0.5}, "only one"),
+        ({"op": "prune_connections", "threshold": True}, "threshold"),
     ],
 )
 def test_scheme_config_rejects_bad_step_values(step, match):
