@@ -47,8 +47,9 @@ class GrowthPolicy:
         if self.kind not in GROWTH_KINDS:
             raise ValueError(f"unknown growth kind: {self.kind}")
         if self.kind != "full":
-            if self.amount is None or not (0.0 < self.amount <= 1.0):
-                raise ValueError(f"amount must be in (0, 1], got {self.amount}")
+            a = self.amount
+            if isinstance(a, bool) or not isinstance(a, numbers.Real) or not (0.0 < a <= 1.0):
+                raise ValueError(f"amount must be a number in (0, 1], got {a!r}")
 
 
 @dataclass
@@ -121,8 +122,8 @@ def _gradient_scores(net: Network, batch: tuple) -> np.ndarray:
     one forward and backward pass through a plan that writes no dW."""
     x, labels = batch
     labels, x = _check_labels(net, labels), _check_batch(net, x)
-    _, _, du, trace = _backprop(net, x, labels, 0.0, _StepPlan(net, []))
-    return (np.abs(trace.x).T @ np.abs(du)) / x.shape[0]
+    _, _, du, acts = _backprop(_StepPlan(net, []), x, labels)
+    return (np.abs(acts).T @ np.abs(du)) / x.shape[0]
 
 
 def grow_connections(

@@ -48,14 +48,24 @@ call and once per public call. It fixes the layer runs, which of them the
 mask holds an edge inside, and each segment's dW target; it rebuilds the
 walk of a run whose nonzero pattern changed since the last step, since a
 grown edge starts at weight zero, where it needs no walk, and turns nonzero
-after the first update. It also owns the step buffers: the activations, dU
-and dx of a batch, allocated at the first step and reused by every later
-one, and dropped with the plan when its call returns. Training keeps no
-preactivations: the backward ReLU gate x > 0 equals u > 0, since x =
-max(u, 0), NaN included. A plan without dW blocks writes no dW, and
-`_backprop` returns the forward trace it ran on, so a caller that needs
-only dU and the activations (gradient-based growth) runs one forward and
-one backward pass and no dW GEMM.
+after the first update. Per batch size it keeps a step program
+(`_Program`): every operation of a step bound once to its views of the
+weights, the bias and the step buffers (the activations, dU and dx, each
+segment's preactivations, the neuron-major copies of the walking runs, and
+a scratch that takes each product before it is added), including one tuple
+per walk receiver and pull sender, so that a step makes only its numpy
+calls, each into an out= buffer, and a walk only its gemvs, adds and ReLUs
+or gates. A rebuilt segment's operations are bound anew. Each entry sees
+the operations it would see on fresh arrays, in the same order, and a GEMM
+or gemv given an out= buffer is the same BLAS call, so the buffers move no
+float. The backward ReLU gate reads u > 0 from the preactivations the
+program keeps, which equals x > 0, since x = max(u, 0), NaN included. A
+plan without dW blocks writes no dW, and `_backprop` returns the
+activations it ran on, so a caller that needs only dU and the activations
+(gradient-based growth) runs one forward and one backward pass and no dW
+GEMM. Training, `forward`, `predict` and the growth scores all run
+programs; each `predict` call, and so each block thread of `infer`, builds
+a plan of its own.
 
 The graph passes (`depth`, `connection_count`, `prune_isolated_neurons`)
 use the same layer runs: a run without an edge inside it, and the outputs,
@@ -65,6 +75,7 @@ take their distances and path flags as one block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +192,7 @@ class ForwardTrace:
     output neurons carry their preactivity (identity pre-softmax).
     """
 
-    u: np.ndarray | None  # (batch, N); None from a pass that keeps no preactivations
+    u: np.ndarray  # (batch, N)
     x: np.ndarray  # (batch, N)
 
     def logits(self, n_out: int) -> np.ndarray:
@@ -239,28 +250,51 @@ def live_blocks(net: Network) -> list[tuple[slice, slice]]:
 class _StepPlan:
     """What the steps of one call share (module doc): one segment per layer
     run, rebuilt when the run's nonzero pattern changes, each segment's dW
-    target, and the activation, dU and dx buffers every step reuses.
+    target, the dBias buffer, and one step program (`_Program`) per batch
+    size.
 
     `dw_blocks` holds a (block, buffer, reads_all) triple per live block
     (`live_blocks`); the dW of the segment whose columns a block holds goes
     into its whole buffer. `reads_all` says whether the buffer's reader
     reads every entry of the block, so that the entries the mask leaves
     inactive must be zero; a reader of the active entries alone gets them as
-    the GEMM leaves them. With no blocks the plan writes no dW. A run the
-    mask holds no edge inside is a walk-free segment whose weights are never
-    read; the mask must not change while the plan is used.
+    the GEMM leaves them. With no blocks the plan writes no dW. `dbias`, if
+    given, is the buffer every step's dBias goes into. A run the mask holds
+    no edge inside is a walk-free segment whose weights are never read.
+
+    A plan lives for one call: the mask must not change while it is used,
+    and its programs hold views of `net.weights` and `net.bias`, so a step
+    after either array was replaced (`prune_isolated_neurons` compaction,
+    neuron insertion) raises RuntimeError rather than train dead views.
     """
 
-    def __init__(self, net: Network, dw_blocks: list):
+    def __init__(self, net: Network, dw_blocks: list, dbias: np.ndarray | None = None):
         self.net = net
-        # [a, e, may walk, nonzero pattern the segment was built from, segment]
-        self.runs = [[a, e, inner, None, (a, e, _NO_WALK, (0, ()))] for a, e, inner in _layer_runs(net)]
+        self.bound = (net.weights, net.bias)
+        w, he = net.weights, net.hidden_end
+        # [a, e, active in-run connections (0: never walks), view of the
+        # in-run weights, nonzero count and pattern the segment was built
+        # from, segment]
+        self.runs = [
+            [a, e, int(np.count_nonzero(net.mask[a:e, a:e])) if inner else 0, w[a:e, a:e], -1, None,
+             (a, e, _NO_WALK, (0, ()))]
+            for a, e, inner in _layer_runs(net)
+        ]
+        # the first row the mask activates into the outputs (from the first
+        # active flat offset: 77 µs on 784-500-10, any(axis=1) 227 µs), its
+        # weights into them, and the output segment
+        into_outputs = np.flatnonzero(net.mask[:he, he:])
+        self.out_row = int(into_outputs[0]) // net.n_out if into_outputs.size else he
+        self.out_weights = w[self.out_row, he:]
+        self.out_seg = None
         # by a segment's first column: its dW block's rows [r0, r1), buffer,
         # and mask where the reader needs the inactive entries zeroed, else None
         self.targets = {}
         for (rows, cols), buf, reads_all in dw_blocks:
             live = net.mask[rows, cols]
             self.targets[cols.start] = (rows.start, rows.stop, buf, live if reads_all and not live.all() else None)
+        self.dbias = dbias
+        self.programs = {}
         self.bufs = None
 
     def segments(self) -> list[tuple[int, int, np.ndarray, tuple]]:
@@ -268,29 +302,253 @@ class _StepPlan:
         first row r the segment's forward GEMM reads (`_run_segment` gives
         the rest). The outputs send no edges, so their segment never walks,
         and it reads from the first row that holds a nonzero weight into
-        them."""
-        net, w = self.net, self.net.weights
+        them. A segment is the same object until it changes. Nonzero weights
+        lie inside the mask, so a run whose nonzero count equals its active
+        count has the mask's pattern, and a mask row into the outputs that
+        holds a nonzero weight is the first such row."""
+        net = self.net
         he = net.hidden_end
         for run in self.runs:
-            a, e, may_walk, last, _ = run
-            if may_walk:
-                nonzero = w[a:e, a:e] != 0
-                if last is None or not np.array_equal(nonzero, last):
-                    run[3:] = nonzero, _run_segment(nonzero, a, e)
-        weighted = w[:he, he:].any(axis=1)
-        return [run[4] for run in self.runs] + [
-            (he, net.n, _NO_WALK, (int(weighted.argmax()) if weighted.any() else he, ()))
-        ]
+            a, e, active, ws, count, last, _ = run
+            if not active or active == count == np.count_nonzero(ws):
+                continue
+            nonzero = ws != 0
+            if last is None or not np.array_equal(nonzero, last):
+                run[4:] = int(np.count_nonzero(nonzero)), nonzero, _run_segment(nonzero, a, e)
+        r = self.out_row
+        if r < he and not np.count_nonzero(self.out_weights):
+            weighted = np.flatnonzero(net.weights[:he, he:])
+            r = int(weighted[0]) // net.n_out if weighted.size else he
+        if self.out_seg is None or self.out_seg[3][0] != r:
+            self.out_seg = (he, net.n, _NO_WALK, (r, ()))
+        return [run[-1] for run in self.runs] + [self.out_seg]
 
-    def buffers(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, dU, dx) for a batch of b rows: views of buffers kept for the
-        plan's life and grown when a larger batch comes. dU's input columns
-        stay zero, since no step writes them; x, the rest of dU and dx hold
-        whatever the last step left."""
-        if self.bufs is None or len(self.bufs[0]) < b:
-            n = self.net.n
-            self.bufs = (np.empty((b, n)), np.zeros((b, n)), np.empty((b, n)))
-        return tuple(buf[:b] for buf in self.bufs)
+    def program(self, b: int) -> _Program:
+        """The program for a batch of b rows, bound to this step's segments."""
+        if self.net.weights is not self.bound[0] or self.net.bias is not self.bound[1]:
+            raise RuntimeError("the network's weights or bias were replaced while a step plan was in use")
+        segs = self.segments()
+        prog = self.programs.get(b)
+        if prog is None:
+            if self.bufs is None or len(self.bufs[0]) < b:
+                # x, dU, dx, the product scratch and the preactivations for
+                # the largest batch so far, whose leading entries every
+                # program uses; a larger batch gets new ones and new
+                # programs. One allocation of all five would lift glibc's
+                # mmap threshold so far that later n x n temporaries stay on
+                # the heap (+15 MB peak RSS on a 784-500-10 synthesis)
+                n = self.net.n
+                x, du, dx = (np.empty((b, n)) for _ in range(3))
+                self.bufs = (x, du, dx, np.empty(b * n), np.empty(b * (n - self.net.n_in)))
+                self.programs = {}
+            prog = self.programs[b] = _Program(self, b)
+        prog.bind(segs)
+        return prog
+
+
+class _Program:
+    """Every operation of one step of a plan at batch size b, each bound to
+    its views of the network and of buffers kept for the plan's life (module
+    doc): the leading b rows of the plan's activations x, dU and dx, the
+    leading entries of its flat scratch, which takes each product before it
+    is added, and of its preactivations, one contiguous (b, width) block
+    per segment, and the program's own neuron-major copies and gates of the
+    walking runs. The programs of a plan share the plan's buffers, since a
+    step runs one program from start to end. dU's input columns are zero
+    from the first gradient step on, since no step writes them. A segment's
+    operations are rebuilt when `_StepPlan.segments` gives a new segment
+    for it."""
+
+    def __init__(self, plan: _StepPlan, b: int):
+        net = plan.net
+        n, n_in, he = net.n, net.n_in, net.hidden_end
+        # no reference back to the plan, whose programs this would put in a
+        # cycle that holds the buffers until the garbage collector runs
+        self.net, self.targets, self.b = net, plan.targets, b
+        x, du, dx, self.tmp, self.pres = plan.bufs
+        self.x, self.du, self.dx = x[:b], du[:b], dx[:b]
+        self.wt = np.empty(net.n_out * (he - n_in))
+        self.dbias = np.empty(n - n_in) if plan.dbias is None else plan.dbias
+        self.top, self.total = np.empty((b, 1)), np.empty((b, 1))
+        self.z, self.ez, self.lse = np.empty((b, net.n_out)), np.empty((b, net.n_out)), np.empty(b)
+        # the flat offset of each row's first entry in a (b, n_out) array
+        self.row_starts = np.arange(b) * net.n_out
+        self.inputs, self.logits, self.sums = self.x[:, :n_in], self.x[:, he:], self.total[:, 0]
+        self.dlogits, self.grads, self.du_inputs = self.du[:, he:], self.du[:, n_in:], self.du[:, :n_in]
+        k = len(plan.runs)
+        self.segs = [None] * (k + 1)
+        # per hidden segment, its forward and backward operations and its
+        # preactivations; the output segment's in `out_fwd` / `out_bwd`
+        self.fwd, self.bwd, self.pre = [None] * k, [None] * k, [None] * (k + 1)
+        self.out_fwd = self.out_bwd = None
+
+    def _tmp(self, *shape) -> np.ndarray:
+        return self.tmp[: math.prod(shape)].reshape(shape)
+
+    def _pre(self, s: int, e: int) -> np.ndarray:
+        """The contiguous (b, e - s) preactivation buffer of segment [s, e)."""
+        n_in, b = self.net.n_in, self.b
+        return self.pres[b * (s - n_in) : b * (e - n_in)].reshape(b, e - s)
+
+    def _target(self, s: int, e: int):
+        target = self.targets.get(s)
+        if target is None:
+            return None
+        r0, r1, blk, live = target
+        return self.x[:, r0:r1].T, self.du[:, s:e], blk, live
+
+    def bind(self, segs: list) -> None:
+        for i, seg in enumerate(segs):
+            if seg is not self.segs[i]:
+                self.segs[i] = seg
+                if i < len(self.fwd):
+                    self.fwd[i], self.bwd[i], self.pre[i] = self._hidden_ops(*seg)
+                else:
+                    self._output_ops(*seg)
+
+    def _hidden_ops(self, s, e, walk, rb):
+        net, b, x, du, dx = self.net, self.b, self.x, self.du, self.dx
+        w, n_in = net.weights, net.n_in
+        ub = self._pre(s, e)
+        xo, dxs, dus = x[:, s:e], dx[:, s:e], du[:, s:e]
+        spread = None
+        if s > n_in:
+            spread = (dus, w[n_in:s, s:e].T, self._tmp(b, s - n_in), dx[:, n_in:s])
+        if not walk.size:
+            fwd = (x[:, :s], w[:s, s:e], ub, net.bias[s - n_in : e - n_in], None, ub, xo)
+            bwd = (ub, np.empty((b, e - s), dtype=bool), dxs, dus, None, spread, self._target(s, e))
+            return fwd, bwd, ub
+        ws = w[s:e, s:e]
+        ut, xt, dxt, dut = (np.empty((e - s, b)) for _ in range(4))
+        gate = np.empty((e - s, b), dtype=bool)
+        tv = self.tmp[:b]
+        blocks = rb[1]
+        steps = []
+        for p, q, fed, receivers, _, _ in blocks:
+            if fed:
+                steps.append((ws[:p, p:q].T, xt[:p], self._tmp(q - p, b), ut[p:q], xt[p:q]))
+            steps += [(ws[p:c, c], xt[p:c], tv, ut[c], xt[c]) for c in receivers]
+        pull = []
+        for p, q, _, _, feeds, senders in reversed(blocks):
+            pull.append((ws[p:q, q:] if feeds else None, dut[q:], self._tmp(q - p, b), dxt[p:q], gate[p:q], dut[p:q]))
+            pull += [(ws[c, c + 1 : q], dut[c + 1 : q], tv, dxt[c], gate[c], dut[c]) for c in senders]
+        fwd = (x[:, :s], w[:s, s:e], ub, net.bias[s - n_in : e - n_in], (ut, xt, steps), ut.T, xo)
+        bwd = (ut, gate, dxs, dus, (dxt, dut, pull), spread, self._target(s, e))
+        return fwd, bwd, ut.T
+
+    def _output_ops(self, s, e, walk, rb):
+        net, b, x, dx = self.net, self.b, self.x, self.dx
+        w, he, r = net.weights, net.hidden_end, rb[0]
+        ub = self._pre(s, e)
+        self.pre[-1] = ub
+        self.out_fwd = (x[:, r:he], w[r:he, he:], ub, net.bias[he - net.n_in :])
+        # the weights into the outputs from row r on, C-ordered and
+        # transposed; no hidden neuron before r feeds an output, and
+        # nothing consumes the gradient of an input
+        r = min(max(r, net.n_in), he)
+        spread = None
+        if r < he:
+            wt = self.wt[: (e - s) * (he - r)].reshape(e - s, he - r)
+            spread = (w[r:he, he:].T, wt, self._tmp(b, he - r), dx[:, r:he])
+        # the output GEMM's product + 0.0 sets dx from row r on, with the
+        # bits of adding it to zero; the hidden rows before r are zeroed
+        self.out_bwd = (dx[:, net.n_in : r] if r > net.n_in else None, spread, self._target(s, e))
+
+    def forward(self, batch: np.ndarray) -> np.ndarray:
+        """The activations of a checked batch of b rows. Each ufunc takes its
+        out= buffer by position where numpy allows it, which saves the
+        keyword's parse on every small call."""
+        np.copyto(self.inputs, batch)
+        for xin, win, ub, bias, walk, pre, xo in self.fwd:
+            np.matmul(xin, win, ub)
+            np.add(ub, bias, ub)
+            if walk is not None:
+                # sub-block by sub-block in a neuron-major copy of the run:
+                # a GEMM from the earlier sub-blocks, then a gemv per receiver
+                ut, xt, steps = walk
+                np.copyto(ut, ub.T)
+                np.maximum(ut, 0.0, out=xt)
+                for a, xa, t, ur, xr in steps:
+                    np.matmul(a, xa, t)
+                    np.add(ur, t, ur)
+                    np.maximum(ur, 0.0, out=xr)
+            np.maximum(pre, 0.0, out=xo)  # ReLU
+        xin, win, ub, bias = self.out_fwd
+        np.matmul(xin, win, ub)
+        np.add(ub, bias, ub)
+        np.copyto(self.logits, ub)
+        return self.x
+
+    def cross_entropy(self, labels: np.ndarray) -> float:
+        """The mean softmax cross-entropy of the labels from the last
+        forward pass; writes its gradient into the output columns of dU."""
+        # the logits as the output GEMM left them, contiguous, where every
+        # pass is one inner loop
+        if self.du_inputs is not None:
+            # dU's input columns, which no step writes, are zeroed by the
+            # first gradient step, so that a forward-only program (predict)
+            # never touches dU
+            self.du_inputs.fill(0.0)
+            self.du_inputs = None
+        logits, z, ez = self.out_fwd[2], self.z, self.ez
+        np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True, out=self.top), z)
+        np.exp(z, ez)
+        np.add.reduce(ez, axis=1, keepdims=True, out=self.total)
+        np.log(self.sums, self.lse)
+        picks = self.row_starts + labels
+        # add.reduce / b gives the bits of .mean() without its Python overhead
+        loss = float(np.add.reduce(np.subtract(self.lse, z.reshape(-1)[picks], self.lse)) / self.b)
+        np.divide(ez, self.total, ez)
+        ez.reshape(-1)[picks] -= 1.0
+        np.divide(ez, self.b, ez)
+        np.copyto(self.dlogits, ez)
+        return loss
+
+    def backward(self) -> None:
+        """dU, dW into the plan's targets and dBias, from the last forward
+        pass and cross-entropy: the segments in reverse, a walking run's
+        pull sub-block by sub-block in reverse (module doc)."""
+        zero, spread, target = self.out_bwd
+        if zero is not None:
+            zero.fill(0.0)
+        if spread is not None:
+            wsrc, wt, t, dxr = spread
+            np.copyto(wt, wsrc)
+            np.matmul(self.dlogits, wt, t)
+            np.add(t, 0.0, dxr)
+        _write_dw(target)
+        for pre, gate, dxs, dus, pull, spread, target in reversed(self.bwd):
+            # ReLU passes the gradient where u > 0, read from the
+            # contiguous preactivations the forward pass left
+            np.greater(pre, 0.0, gate)
+            if pull is None:
+                np.multiply(dxs, gate, dus)
+            else:
+                dxt, dut, steps = pull
+                np.copyto(dxt, dxs.T)
+                for a, da, t, dxr, g, dur in steps:
+                    if a is not None:
+                        np.matmul(a, da, t)
+                        np.add(dxr, t, dxr)
+                    np.multiply(dxr, g, dur)
+                np.copyto(dus, dut.T)
+            if spread is not None:
+                a, wsrc, t, dxr = spread
+                np.matmul(a, wsrc, t)
+                np.add(dxr, t, dxr)
+            _write_dw(target)
+        np.add.reduce(self.grads, axis=0, out=self.dbias)
+
+
+def _write_dw(target) -> None:
+    """A segment's dW into its target buffer (`_Program._target`), if it
+    has one."""
+    if target is not None:
+        xr, du, blk, live = target
+        np.matmul(xr, du, blk)
+        # multiplying by True changes no float, so a dense block skips it
+        if live is not None:
+            np.multiply(blk, live, blk)
 
 
 def _check_batch(net: Network, batch: np.ndarray) -> np.ndarray:
@@ -309,82 +567,14 @@ def forward(net: Network, batch: np.ndarray) -> ForwardTrace:
     The computational path depends only on the nonzero pattern of the weight
     matrix, so growing zero-weight connections leaves every float untouched.
     """
-    return _forward(net, _check_batch(net, batch), _StepPlan(net, []).segments())
-
-
-def _forward(net: Network, batch: np.ndarray, segs: list, x: np.ndarray | None = None) -> ForwardTrace:
-    """The forward pass of a checked batch through `segs`. Given `x`, a
-    (batch, n) buffer, it writes the activations there and keeps no
-    preactivations: the trace's u is None."""
-    n, b = net.n, batch.shape[0]
-    w = net.weights
-    u = None
-    if x is None:
-        u = np.empty((b, n))
-        x = np.empty((b, n))
-        u[:, : net.n_in] = batch
-    x[:, : net.n_in] = batch
-    for s, e, walk, (r, blocks) in segs:
-        ub = x[:, r:s] @ w[r:s, s:e]
-        ub += net.bias[s - net.n_in : e - net.n_in]
-        if s >= net.hidden_end:
-            x[:, s:e] = ub
-        else:
-            if walk.size:
-                ub = _walk(w[s:e, s:e], blocks, ub)
-            np.maximum(ub, 0.0, out=x[:, s:e])  # ReLU
-        if u is not None:
-            u[:, s:e] = ub
+    batch = _check_batch(net, batch)
+    prog = _StepPlan(net, []).program(len(batch))
+    x = prog.forward(batch)
+    u = np.empty_like(x)
+    u[:, : net.n_in] = batch
+    for (s, e, *_), pre in zip(prog.segs, prog.pre):
+        u[:, s:e] = pre
     return ForwardTrace(u=u, x=x)
-
-
-def _walk(ws: np.ndarray, blocks: tuple, ub: np.ndarray) -> np.ndarray:
-    """The preactivations of a walking run with in-run weights `ws` and
-    sub-blocks `blocks` (`_run_segment`), from `ub`, the part of every neuron
-    before the run. Each sub-block adds the earlier sub-blocks' part with one
-    GEMM, then each of its receivers the part from inside the sub-block with
-    one gemv, in order. Runs neuron-major and returns a (batch, run) view."""
-    ut = np.ascontiguousarray(ub.T)
-    xt = np.maximum(ut, 0.0)
-    for p, q, fed, receivers, _, _ in blocks:
-        if fed:
-            ut[p:q] += ws[:p, p:q].T @ xt[:p]
-            np.maximum(ut[p:q], 0.0, out=xt[p:q])
-        for c in receivers:
-            ut[c] += ws[p:c, c] @ xt[p:c]
-            np.maximum(ut[c], 0.0, out=xt[c])
-    return ut.T
-
-
-def _pull(ws: np.ndarray, blocks: tuple, xs: np.ndarray, dxs: np.ndarray) -> np.ndarray:
-    """dU of a walking run with in-run weights `ws`, activations `xs` and
-    `dxs`, the part of dx from every neuron after the run: `_walk` in
-    reverse. Each sub-block, from the last, adds to dx what the later
-    sub-blocks pull with one GEMM and sets its dU, then each of its senders,
-    from the last, pulls from inside the sub-block with one gemv and resets
-    its dU. Runs neuron-major and returns a (batch, run) view."""
-    gate = np.ascontiguousarray(xs.T) > 0.0  # ReLU
-    dxt = np.ascontiguousarray(dxs.T)
-    dut = np.empty_like(dxt)
-    for p, q, _, _, feeds, senders in reversed(blocks):
-        if feeds:
-            dxt[p:q] += ws[p:q, q:] @ dut[q:]
-        np.multiply(dxt[p:q], gate[p:q], out=dut[p:q])
-        for c in senders:
-            dxt[c] += ws[c, c + 1 : q] @ dut[c + 1 : q]
-            np.multiply(dxt[c], gate[c], out=dut[c])
-    return dut.T
-
-
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy of the labels, and the softmax itself."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    total = e.sum(axis=1, keepdims=True)
-    b = len(labels)
-    # add.reduce / b gives the bits of .mean() without its Python overhead
-    loss = float(np.add.reduce(np.log(total[:, 0]) - z[np.arange(b), labels]) / b)
-    return loss, e / total
 
 
 def _check_labels(net: Network, labels: np.ndarray) -> np.ndarray:
@@ -407,94 +597,65 @@ def loss_and_gradients(
 ):
     """Loss plus gradients: (loss, dW, dBias, dU).
 
-    dW is n x n and masked (exactly zero wherever the mask is False) and
-    includes the weight-decay term on active weights. dU holds dLoss/du for
-    every neuron and sample, which gradient-based connection growth consumes;
-    its input columns are zero, since no edge ends at an input.
+    dW is n x n and masked (exactly zero wherever the mask is False). With
+    weight_decay, the loss adds 0.5 * weight_decay * ||W||^2 and dW adds
+    weight_decay * W over the live blocks, after the backward pass has
+    written them. dU holds dLoss/du for every neuron and sample, which
+    gradient-based connection growth consumes; its input columns are zero,
+    since no edge ends at an input.
 
     `_plan` is for training, which builds one `_StepPlan` per call over the
-    contiguous dW buffers of its live blocks and validates the batch and
-    labels once, so that this call does not. Each segment then writes its dW
-    into the whole buffer of its live block, the only write to a buffer.
+    dW buffers of its live blocks and its dBias buffer, folds the decay into
+    its update (so a call with a plan refuses a weight_decay), and validates
+    the batch and labels once, so that this call does not. Each segment
+    then writes its dW into the whole buffer of its live block, the only
+    write to a buffer.
     Where the buffer's reader reads the whole block, the write leaves zero
     wherever the mask is False (a dense block, mask all True, skips the mask
     multiply, which would change no float); a reader of the active entries
     alone gets the inactive ones unmasked. dW is then returned as None, and
-    dU is a view of the plan's buffer, which the next call overwrites.
+    dBias and dU are the plan's buffers, which the next call overwrites.
     Without a plan, the call validates its inputs and runs a one-off plan
     whose buffers are the live blocks' views of a fresh n x n dW.
 
     Segments are visited in reverse; a walking run pulls its dU through its
-    sub-blocks in reverse (`_pull`, module doc). Each sub-block's GEMM needs
-    dU final in every later neuron of the run, which the reverse
-    order gives; each sender's gemv needs it final in the later neurons of
-    its sub-block, which the descending order of the senders gives, since
-    a neuron that sends nothing inside the sub-block has its dU set before
-    any sender pulls.
+    sub-blocks in reverse (module doc). Each sub-block's GEMM needs dU final
+    in every later neuron of the run, which the reverse order gives; each
+    sender's gemv needs it final in the later neurons of its sub-block,
+    which the descending order of the senders gives, since a neuron that
+    sends nothing inside the sub-block has its dU set before any sender
+    pulls.
     """
-    dw = None
-    if _plan is None:
-        labels = _check_labels(net, labels)
-        batch = _check_batch(net, batch)
-        dw = np.zeros((net.n, net.n))
-        # each live block's dW is written into its view of dW, read whole
-        _plan = _StepPlan(net, [(blk, dw[blk], True) for blk in live_blocks(net)])
-    loss, dbias, du, _ = _backprop(net, batch, labels, weight_decay, _plan)
+    if _plan is not None:
+        if weight_decay:
+            raise ValueError("a call through a step plan takes no weight_decay: training folds it into its update")
+        loss, dbias, du, _ = _backprop(_plan, batch, labels)
+        return loss, None, dbias, du
+    labels = _check_labels(net, labels)
+    batch = _check_batch(net, batch)
+    dw = np.zeros((net.n, net.n))
+    blocks = live_blocks(net)
+    # each live block's dW is written into its view of dW, read whole
+    loss, dbias, du, _ = _backprop(_StepPlan(net, [(blk, dw[blk], True) for blk in blocks]), batch, labels)
+    if weight_decay:
+        # einsum reduces a strided view without the copy vdot would make
+        wr = net.weights[net.rect]
+        loss += 0.5 * weight_decay * float(np.einsum("ij,ij->", wr, wr))
+        for blk in blocks:
+            dw[blk] += weight_decay * net.weights[blk]
     return loss, dw, dbias, du
 
 
-def _backprop(net: Network, batch: np.ndarray, labels: np.ndarray, weight_decay: float, plan: _StepPlan):
-    """Forward pass, loss and backward pass of one call through `plan`, on a
-    validated batch and int64 labels: (loss, dBias, dU, forward trace). dU
-    and the trace's activations are views of the plan's buffers, which the
-    next call through the plan overwrites; the trace keeps no
-    preactivations."""
-    segs = plan.segments()
-    b = batch.shape[0]
-    x, du, dx = plan.buffers(b)
-    trace = _forward(net, batch, segs, x)
-    he = net.hidden_end
-    w = net.weights
-
-    loss, dlogits = _cross_entropy(trace.logits(net.n_out), labels)
-    if weight_decay:
-        # einsum reduces a strided view without the copy vdot would make
-        wr = w[net.rect]
-        loss += 0.5 * weight_decay * float(np.einsum("ij,ij->", wr, wr))
-
-    dlogits[np.arange(b), labels] -= 1.0
-    dlogits /= b
-
-    dx[:, net.n_in : he] = 0.0
-    du[:, he:] = dlogits
-    for s, e, walk, (r, blocks) in reversed(segs):
-        if s >= he:
-            # the weights into the outputs from row r on, C-ordered and
-            # transposed; no hidden neuron before r feeds an output
-            r = max(r, net.n_in)
-            dx[:, r:he] += du[:, he:] @ np.ascontiguousarray(w[r:he, he:].T)
-        else:
-            if walk.size:
-                du[:, s:e] = _pull(w[s:e, s:e], blocks, x[:, s:e], dx[:, s:e])
-            else:
-                # ReLU passes the gradient where u > 0, that is where
-                # x = max(u, 0) > 0 (NaN fails both)
-                np.multiply(dx[:, s:e], x[:, s:e] > 0.0, out=du[:, s:e])
-            # nothing consumes the gradient of an input, so rows :n_in are skipped
-            dx[:, net.n_in : s] += du[:, s:e] @ w[net.n_in : s, s:e].T
-        target = plan.targets.get(s)
-        if target is None:
-            continue
-        r0, r1, blk, live = target
-        np.matmul(x[:, r0:r1].T, du[:, s:e], out=blk)
-        # multiplying by True changes no float, so a dense block skips it
-        if live is not None:
-            blk *= live
-        if weight_decay:
-            blk += weight_decay * w[r0:r1, s:e]
-
-    dbias = du[:, net.n_in :].sum(axis=0)
-    return loss, dbias, du, trace
+def _backprop(plan: _StepPlan, batch: np.ndarray, labels: np.ndarray):
+    """Forward pass, loss and backward pass of one step through `plan`, on
+    a validated batch and int64 labels: (loss, dBias, dU, activations), the
+    last three the buffers of the plan's program for this batch size, which
+    the next step at that size overwrites."""
+    prog = plan.program(batch.shape[0])
+    prog.forward(batch)
+    loss = prog.cross_entropy(labels)
+    prog.backward()
+    return loss, prog.dbias, prog.du, prog.x
 
 
 def predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarray:
@@ -502,19 +663,18 @@ def predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarra
     batch = np.asarray(batch, dtype=np.float64)
     if len(batch):
         _check_batch(net, batch)
-    return _predict(net, batch, _StepPlan(net, []).segments(), batch_size)
+    return _predict(net, batch, batch_size)
 
 
-def _predict(net: Network, batch: np.ndarray, segs: list, batch_size: int = 512) -> np.ndarray:
-    """`predict` of a checked float64 batch through `segs`: every chunk runs
-    through one activation buffer."""
+def _predict(net: Network, batch: np.ndarray, batch_size: int = 512) -> np.ndarray:
+    """`predict` of a checked float64 batch through a plan of its own, so
+    that every caller, each thread among them, owns its buffers."""
+    plan = _StepPlan(net, [])
     out = np.empty(len(batch), dtype=np.int64)
-    x = np.empty((min(batch_size, len(batch)), net.n))
     for s in range(0, len(batch), batch_size):
         chunk = batch[s : s + batch_size]
-        xc = x[: len(chunk)]
-        _forward(net, chunk, segs, xc)
-        np.argmax(xc[:, net.hidden_end :], axis=1, out=out[s : s + len(chunk)])
+        x = plan.program(len(chunk)).forward(chunk)
+        np.argmax(x[:, net.hidden_end :], axis=1, out=out[s : s + len(chunk)])
     return out
 
 

@@ -32,7 +32,6 @@ from .network import (
     from_mlp,
     network_from_dict,
     _predict,
-    _StepPlan,
 )
 from .numerics import make_rng, one_blas_thread
 from .schemes import OptimizerConfig, SchemeConfig, run_scheme, summarize_run, train_weights, TrainingDiverged, _check_count
@@ -548,7 +547,7 @@ def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.nd
     width = _step_widths(stored[0])[0] if stored else net.n_in
     if ncols != width:
         raise ValueError(f"feature width mismatch: the bundle takes {width} features, the rows hold {ncols}")
-    steps, segs = _preprocess_steps(bundle), _StepPlan(net, []).segments()
+    steps = _preprocess_steps(bundle)
 
     def work(task):
         """The task's block preprocessed, and predicted where BLAS is held."""
@@ -557,7 +556,7 @@ def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.nd
             return None
         for step in steps:
             x = step(x)
-        return _predict(net, x, segs) if held else x
+        return _predict(net, x) if held else x
 
     parts = []
     # held exactly when `_in_order` runs the tasks on threads of its own
@@ -566,7 +565,7 @@ def _stream_labels(bundle: dict, net: Network, ncols: int, tasks: list) -> np.nd
             for out in done:
                 if out is None:
                     return None
-                parts.append(out if held else _predict(net, out, segs))
+                parts.append(out if held else _predict(net, out))
     return np.concatenate(parts)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -49,8 +50,16 @@ def _check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_number(name: str, value) -> None:
+    """Raise ValueError unless value is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_fraction(name: str, value) -> None:
-    """Raise ValueError unless value lies in [0, 1] (NaN does not)."""
+    """Raise ValueError unless value is a number (not a bool) in [0, 1] (NaN
+    is not)."""
+    _check_number(name, value)
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
@@ -67,6 +76,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("sgd_momentum", "adam"):
             raise ValueError(f"unknown optimizer kind: {self.kind}")
+        for name in ("learning_rate", "momentum", "weight_decay"):
+            _check_number(name, getattr(self, name))
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not (0.0 <= self.momentum < 1.0):
@@ -265,63 +276,88 @@ def _minibatches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 # A live block the mask fills to less than this share trains as the vector of
-# its active entries. On 784-500-10 (2-core host), one SGD update of all
-# 397,000 entries took 3.8 ms as a block and 6.6 ms indexed; after a prune to
-# 7,130 active entries in a 228,672-entry block it took 1.96 ms as a block and
-# 0.09 ms indexed. On a 784x500 block with random fill, the two cost the same
-# near half full (3.4 ms as a block, 3.3 ms indexed).
+# its active entries, whose dW is gathered into G, the flat gradient vector; a
+# fuller block's dW buffer is its slice of G. On 784-500-10 (2-core host), one
+# SGD update of all 397,000 entries took 3.8 ms as a block and 6.6 ms indexed;
+# after a prune to 7,130 active entries in a 228,672-entry block it took 1.96
+# ms as a block and 0.09 ms indexed. On a 784x500 block with random fill, the
+# two cost the same near half full (3.4 ms as a block, 3.3 ms indexed).
 SPARSE_FILL = 0.5
 
-
-class _LiveUnit:
-    """Training state of one live block.
-
-    `buf` is the block's own zeroed dW buffer, which `loss_and_gradients`
-    fills. A block the mask fills to at least SPARSE_FILL trains in place:
-    `w` is a view of the block in net.weights and `dw` is `buf`. A sparser
-    block trains as the vector of its active entries, whose flat offsets are
-    `take` in the block and `put` in net.weights: `w` holds them, `gather`
-    takes their dW from `buf` and `scatter` writes `w` back into
-    net.weights, so that the next forward pass sees the update.
-    """
-
-    def __init__(self, net: Network, blk: tuple[slice, slice]):
-        live = net.mask[blk]
-        self.buf = np.zeros(live.shape)
-        self.take = None
-        if np.count_nonzero(live) >= SPARSE_FILL * live.size:
-            self.w, self.dw = net.weights[blk], self.buf
-            return
-        self.take = np.flatnonzero(live)
-        rows, cols = np.divmod(self.take, live.shape[1])
-        self.put = (rows + blk[0].start) * net.n + (cols + blk[1].start)
-        self.w = net.weights.take(self.put)
-        self.dw = np.empty_like(self.w)
-
-    def gather(self) -> None:
-        if self.take is not None:
-            # the offsets are in range by construction; mode="raise" gathers
-            # through a temporary first (twice the time at 190,000 entries)
-            np.take(self.buf.reshape(-1), self.take, out=self.dw, mode="clip")
-
-    def scatter(self, weights: np.ndarray) -> None:
-        if self.take is not None:
-            np.put(weights, self.put, self.w)
-
-
-# Entries per chunk of the optimizer update, which runs every operation of a
-# chunk before the next chunk, so that the chunk stays in cache between them.
+# The most entries of G in one range of the optimizer update, which runs
+# every operation on a range before the next range, so that the range stays
+# in cache between them. Parameters smaller than a range share one; a larger
+# one is split by rows, and a row longer than a range is a range of its own.
 # The SGD + decay update of a dense 784 x 500 block (2-core host, medians of
 # interleaved runs) took 1.9 ms in whole-array passes, 1.45 ms in chunks of
 # 16,384 entries and 1.3 ms in chunks of 32,768.
 CHUNK = 32_768
 
 
-def _chunks(a: np.ndarray) -> list[slice]:
-    """Slices of the first axis of a non-empty `a`, of about CHUNK entries
-    each."""
-    rows = max(1, CHUNK // a[0].size)
-    return [slice(r, r + rows) for r in range(0, len(a), rows)]
+class _Params:
+    """The parameters of one training call and their flat gradient vector.
+
+    `ws` lists the parameters in order: per live block (`network.live_blocks`)
+    either the block's view of net.weights or, for a block the mask fills to
+    less than SPARSE_FILL, the vector of its active entries; then net.bias.
+    G (`g`) holds their gradients in the same order and layout: a block
+    view's dW buffer is its slice of G, a vector's dW is gathered from its
+    block's own dW buffer into its slice (`gather`), and dBias is the last
+    slice. The step plan (`plan`) writes all of them. A vector's entries
+    have flat offsets `take` in its block and `put` in net.weights, where
+    `scatter` writes the vector back so that the next forward pass sees it.
+
+    `ranges` cuts G into (lo, hi, pieces) ranges of at most CHUNK entries
+    (a longer row stays whole), where each piece (i, w, a) is a run of whole
+    rows of parameter i, the view w, starting at offset a of the range.
+    """
+
+    def __init__(self, net: Network):
+        forms = []
+        for blk in live_blocks(net):
+            live = net.mask[blk]
+            dense = np.count_nonzero(live) >= SPARSE_FILL * live.size
+            forms.append((blk, live, None if dense else np.flatnonzero(live)))
+        sizes = [live.size if take is None else take.size for _, live, take in forms] + [net.bias.size]
+        ends = np.cumsum(sizes).tolist()
+        starts = [0] + ends[:-1]
+        self.g = np.zeros(ends[-1])
+        self.ws, self.vectors, dw_blocks = [], [], []
+        for (blk, live, take), a, z in zip(forms, starts, ends):
+            if take is None:
+                self.ws.append(net.weights[blk])
+                dw_blocks.append((blk, self.g[a:z].reshape(live.shape), True))
+                continue
+            rows, cols = np.divmod(take, live.shape[1])
+            put = (rows + blk[0].start) * net.n + (cols + blk[1].start)
+            buf = np.zeros(live.shape)
+            self.ws.append(net.weights.take(put))
+            self.vectors.append((buf.reshape(-1), take, self.g[a:z], self.ws[-1], put))
+            # the gather reads the active entries alone, so the buffer's
+            # inactive entries need not be zeroed
+            dw_blocks.append((blk, buf, False))
+        self.ws.append(net.bias)
+        self.plan = _StepPlan(net, dw_blocks, dbias=self.g[starts[-1] :])
+        self.ranges = []
+        for i, (w, a) in enumerate(zip(self.ws, starts)):
+            width = w[0].size
+            rows = max(1, CHUNK // width)
+            for r in range(0, len(w), rows):
+                piece, lo = w[r : r + rows], a + r * width
+                if not self.ranges or lo + piece.size - self.ranges[-1][0] > CHUNK:
+                    self.ranges.append([lo, lo, []])
+                self.ranges[-1][1] = lo + piece.size
+                self.ranges[-1][2].append((i, piece, lo - self.ranges[-1][0]))
+
+    def gather(self) -> None:
+        for buf, take, g, _, _ in self.vectors:
+            # the offsets are in range by construction; mode="raise" gathers
+            # through a temporary first (twice the time at 190,000 entries)
+            np.take(buf, take, out=g, mode="clip")
+
+    def scatter(self, weights: np.ndarray) -> None:
+        for _, _, _, w, put in self.vectors:
+            np.put(weights, put, w)
 
 
 def train_weights(
@@ -335,98 +371,104 @@ def train_weights(
 
     `data` is anything whose train_xy() gives the training features and
     labels. The mask does not change while training, so it is read once per
-    call: the live blocks (`network.live_blocks`), each with its own zeroed
-    dW buffer, and one step plan over them (`network._StepPlan`), which every
-    step passes to `loss_and_gradients` and which holds the step buffers for
-    this call only. The features and labels are validated once, before the
-    first update, so a bad label or feature width raises ValueError with the
+    call: the parameters, their flat gradient vector G and one step plan
+    that writes it (`_Params`), which every step passes to
+    `loss_and_gradients` and which holds the step programs for this call
+    only. The features and labels are validated once, before the first
+    update, so a bad label or feature width raises ValueError with the
     entry weights untouched.
 
-    The optimizer updates one list of parameters: the live blocks, then the
-    bias. A block the mask fills to less than SPARSE_FILL enters as the
-    vector of its active entries (`_LiveUnit`); both forms run the same
-    elementwise updates, so they give the same floats. Each parameter is
-    updated in chunks of about CHUNK entries, every operation of the update
-    on one chunk before the next; each entry sees the same operations in the
-    same order either way. Weight decay applies to the blocks only, folded
-    into the update as dW + weight_decay * W. A masked dW entry that the
-    update reads is zero, so every weight off the mask stays exactly zero.
-    Divergence is a non-finite cross-entropy loss (the decay term is not part
-    of it) or a non-finite weight after the last step: the entry weights are
-    then restored and TrainingDiverged raised.
+    The optimizer state (the velocity, or Adam's moments) and its scratch
+    are flat vectors beside G, and each update pass runs once per range of
+    G (`_Params.ranges`): every operation of the update on one range before
+    the next, with only the decay fold and the final `w -= t` taken per
+    parameter piece. A block trained as the vector of its active entries
+    runs the same elementwise updates as one trained in place, so each
+    entry sees the same operations in the same order either way. Weight
+    decay applies to the blocks only, folded into the update as dW +
+    weight_decay * W. A masked dW entry that the update reads is zero, so
+    every weight off the mask stays exactly zero. Divergence is a
+    non-finite cross-entropy loss (the decay term is not part of it) or a
+    non-finite weight after the last step: the entry weights are then
+    restored and TrainingDiverged raised.
     """
     x_train, y_train = data.train_xy()
     y_train = _check_labels(net, y_train)
     x_train = _check_batch(net, x_train)
-    blocks = live_blocks(net)
-    units = [_LiveUnit(net, blk) for blk in blocks]
-    # a vector unit gathers only its active entries, so its block's inactive
-    # dW entries need not be zeroed
-    plan = _StepPlan(net, [(blk, unit.buf, unit.take is None) for blk, unit in zip(blocks, units)])
-    # block units are views into net.weights; the bias is the last entry
-    ws = [unit.w for unit in units] + [net.bias]
-    chunks = [_chunks(w) for w in ws]
-    decays = [opt.weight_decay] * len(units) + [0.0]
-    dws = [unit.dw for unit in units] + [None]  # the bias gradient, set each step
-    snaps = [w.copy() for w in ws]
-    lr = opt.learning_rate * lr_scale
-    # scratch for the largest chunk
-    tmp = np.empty(max(w[cs[0]].size for w, cs in zip(ws, chunks)))
+    params = _Params(net)
+    snaps = [w.copy() for w in params.ws]
+    lr, decay, bias = opt.learning_rate * lr_scale, opt.weight_decay, len(params.ws) - 1
+    g = params.g
+    t = np.empty(max(hi - lo for lo, hi, _ in params.ranges))
+    # the velocity, or Adam's moments, flat beside G; Adam's second scratch
     if opt.kind == "sgd_momentum":
-        vels = [np.zeros_like(w) for w in ws]
+        state, scratch = [np.zeros_like(g)], [t]
     else:
-        m_w = [np.zeros_like(w) for w in ws]
-        v_w = [np.zeros_like(w) for w in ws]
-        den = np.empty_like(tmp)
+        state, scratch = [np.zeros_like(g), np.zeros_like(g)], [np.empty_like(t), t]
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
+    # per range: its views of G, the state and the scratch, the pieces that
+    # fold in the decay (weight, G and scratch views) and every piece's
+    # weight and scratch views
+    passes = []
+    for lo, hi, pieces in params.ranges:
+        shaped = [
+            (i, w, g[lo + a : lo + a + w.size].reshape(w.shape), t[a : a + w.size].reshape(w.shape))
+            for i, w, a in pieces
+        ]
+        passes.append((
+            g[lo:hi],
+            *(v[lo:hi] for v in state),
+            *(v[: hi - lo] for v in scratch),
+            [(w, gp, tp) for i, w, gp, tp in shaped if decay and i != bias],
+            [(w, tp) for _, w, _, tp in shaped],
+        ))
     try:
         # divergence is detected on the loss value, so float overflow inside
         # a doomed step is expected rather than a warning-worthy event
         with np.errstate(over="ignore", invalid="ignore"):
             for _epoch in range(opt.epochs_per_iteration):
                 for idx in _minibatches(len(y_train), opt.batch_size, rng):
-                    loss, _, dws[-1], _ = loss_and_gradients(net, x_train[idx], y_train[idx], _plan=plan)
+                    # take gathers 64 rows of 8 in 0.6 µs, x_train[idx] in 1.8 µs
+                    loss = loss_and_gradients(net, x_train.take(idx, axis=0), y_train[idx], _plan=params.plan)[0]
                     if not math.isfinite(loss):
                         raise TrainingDiverged(f"loss became {loss}")
-                    for unit in units:
-                        unit.gather()
-                    if opt.kind == "adam":
+                    params.gather()
+                    if opt.kind == "sgd_momentum":
+                        for gs, vel, ts, folds, subs in passes:
+                            for w, gp, tp in folds:
+                                gp += np.multiply(decay, w, tp)
+                            vel *= opt.momentum
+                            vel += gs
+                            np.multiply(lr, vel, ts)
+                            for w, tp in subs:
+                                w -= tp
+                    else:
                         step += 1
                         bc1 = 1 - beta1**step
                         bc2 = 1 - beta2**step
-                    for i, (w, dw, decay) in enumerate(zip(ws, dws, decays)):
-                        for sl in chunks[i]:
-                            wc, g = w[sl], dw[sl]
-                            t = tmp[: g.size].reshape(g.shape)
-                            if decay:
-                                g += np.multiply(decay, wc, t)
-                            if opt.kind == "sgd_momentum":
-                                vel = vels[i][sl]
-                                vel *= opt.momentum
-                                vel += g
-                                wc -= np.multiply(lr, vel, t)
-                            else:
-                                m, v, dn = m_w[i][sl], v_w[i][sl], den[: g.size].reshape(g.shape)
-                                m *= beta1
-                                m += np.multiply(1 - beta1, g, t)
-                                v *= beta2
-                                np.multiply(1 - beta2, g, t)
-                                v += np.multiply(t, g, t)
-                                # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in
-                                # that order, through the scratch buffers
-                                np.multiply(lr, np.divide(m, bc1, t), t)
-                                np.add(np.sqrt(np.divide(v, bc2, dn), dn), eps, dn)
-                                wc -= np.divide(t, dn, t)
-                    for unit in units:
-                        unit.scatter(net.weights)
-        if not all(np.all(np.isfinite(w)) for w in ws):
+                        for gs, m, v, dn, ts, folds, subs in passes:
+                            for w, gp, tp in folds:
+                                gp += np.multiply(decay, w, tp)
+                            m *= beta1
+                            m += np.multiply(1 - beta1, gs, ts)
+                            v *= beta2
+                            np.multiply(1 - beta2, gs, ts)
+                            v += np.multiply(ts, gs, ts)
+                            # w -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in
+                            # that order, through the scratch buffers
+                            np.multiply(lr, np.divide(m, bc1, ts), ts)
+                            np.add(np.sqrt(np.divide(v, bc2, dn), dn), eps, dn)
+                            np.divide(ts, dn, ts)
+                            for w, tp in subs:
+                                w -= tp
+                    params.scatter(net.weights)
+        if not all(np.all(np.isfinite(w)) for w in params.ws):
             raise TrainingDiverged("non-finite weights after update")
     except TrainingDiverged:
-        for w, snap in zip(ws, snaps):
+        for w, snap in zip(params.ws, snaps):
             w[...] = snap
-        for unit in units:
-            unit.scatter(net.weights)
+        params.scatter(net.weights)
         raise
     return net
 

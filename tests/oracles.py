@@ -2,6 +2,9 @@
 
 Everything here is deliberately naive (nested loops, per-neuron interpreters,
 full sorts, finite differences) and shares no code path with the package.
+The blocked-walk reference is not naive: it does the engine's walk
+arithmetic on fresh arrays, one allocation per product, so that the step
+program's bound walk can be checked against it bit for bit.
 The dense training reference takes its gradients from a function it is
 given, so that it checks only the optimizer's bookkeeping.
 """
@@ -55,6 +58,46 @@ def naive_backward(n_in, n_out, mask, weights, bias, samples, labels, weight_dec
             if mask[i, j]:
                 dw[i, j] += weight_decay * weights[i, j]
     return du, dw, dbias
+
+
+def blocked_walk(ws, blocks, ub):
+    """The preactivations of a walking run by the blocked-walk reference:
+    in-run weights `ws`, sub-blocks `blocks` as the step plan cuts them
+    ((p, q, fed, receivers, feeds, senders) each) and `ub`, the part of
+    every neuron's preactivation from before the run. Each sub-block adds
+    the earlier sub-blocks' part with one GEMM, then each of its receivers
+    the part from inside the sub-block with one gemv, in order, on freshly
+    allocated neuron-major arrays. Returns a (batch, run) view."""
+    ut = np.ascontiguousarray(ub.T)
+    xt = np.maximum(ut, 0.0)
+    for p, q, fed, receivers, _, _ in blocks:
+        if fed:
+            ut[p:q] += ws[:p, p:q].T @ xt[:p]
+            np.maximum(ut[p:q], 0.0, out=xt[p:q])
+        for c in receivers:
+            ut[c] += ws[p:c, c] @ xt[p:c]
+            np.maximum(ut[c], 0.0, out=xt[c])
+    return ut.T
+
+
+def blocked_pull(ws, blocks, xs, dxs):
+    """dU of a walking run by the blocked-walk reference, from its
+    activations `xs` and `dxs`, the part of dx from every neuron after the
+    run: `blocked_walk` in reverse. Each sub-block, from the last, adds what
+    the later sub-blocks pull with one GEMM and sets its dU, then each of
+    its senders, from the last, pulls from inside the sub-block with one
+    gemv and resets its dU. Returns a (batch, run) view."""
+    gate = np.ascontiguousarray(xs.T) > 0.0
+    dxt = np.ascontiguousarray(dxs.T)
+    dut = np.empty_like(dxt)
+    for p, q, _, _, feeds, senders in reversed(blocks):
+        if feeds:
+            dxt[p:q] += ws[p:q, q:] @ dut[q:]
+        np.multiply(dxt[p:q], gate[p:q], out=dut[p:q])
+        for c in senders:
+            dxt[c] += ws[c, c + 1 : q] @ dut[c + 1 : q]
+            np.multiply(dxt[c], gate[c], out=dut[c])
+    return dut.T
 
 
 def fd_gradient(loss_fn, get, setv, eps=1e-5):

@@ -1113,6 +1113,12 @@ MANIFEST_ERRORS = {
     ),
     "blobs_std_not_a_number": ("prep", with_dataset({"format": "synthetic", "generator": "blobs", "std": "wide"}), []),
     "moons_nan_noise": ("prep", with_dataset({"format": "synthetic", "generator": "moons", "noise": float("nan")}), []),
+    # a bool where a number belongs would train at learning rate 1.0 or grow all candidates
+    "optimizer_bool_lr": ("synth", lambda m: m["scheme"]["optimizer"].update(learning_rate=True), []),
+    "optimizer_bool_momentum": ("synth", lambda m: m["scheme"]["optimizer"].update(momentum=False), []),
+    "optimizer_bool_decay": ("synth", lambda m: m["scheme"]["optimizer"].update(weight_decay=True), []),
+    "step_bool_growth_fraction": ("synth", with_step({"op": "grow_connections", "kind": "random", "fraction_of_possible": True}), []),
+    "step_bool_keep_fraction": ("synth", with_step({"op": "prune_connections", "keep_fraction": True}), []),
 }
 
 

@@ -23,11 +23,14 @@ from growprune.network import (
     prune_isolated_neurons,
     save_checkpoint,
     _StepPlan,
+    _backprop,
 )
 from growprune.numerics import make_rng
 from growprune.schemes import OptimizerConfig, train_weights
 from conftest import random_dag
 from oracles import (
+    blocked_pull,
+    blocked_walk,
     fd_gradient,
     fixed_point_isolated,
     longest_path_dp,
@@ -368,6 +371,103 @@ def test_zero_weight_in_run_edges_keep_a_walking_dag_bitwise():
     after = [forward(net, x).logits(net.n_out), *loss_and_gradients(net, x, y)]
     for i in (0, 1, 3, 4):
         assert np.array_equal(np.asarray(after[i]).view(np.int64), np.asarray(before[i]).view(np.int64))
+
+
+def bitwise(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def walk_reference(net, x, du_out):
+    """The run's preactivations, activations and dU (from du_out, the dU of
+    the outputs) of a one-run DAG, by the blocked-walk reference over the
+    sub-blocks the plan cuts from its nonzero weights, between the GEMMs of
+    the engine's segments."""
+    s, he, w = net.n_in, net.hidden_end, net.weights
+    (_, _, _, (_, blocks)), (_, _, _, (r, _)) = _StepPlan(net, []).segments()
+    acts = np.empty((len(x), net.n))
+    acts[:, :s] = x
+    ub = acts[:, :s] @ w[:s, s:he]
+    ub += net.bias[: he - s]
+    u = blocked_walk(w[s:he, s:he], blocks, ub)
+    acts[:, s:he] = np.maximum(u, 0.0)
+    r = max(r, s)
+    dx = np.zeros((len(x), he - s))
+    dx[:, r - s :] += du_out @ np.ascontiguousarray(w[r:he, he:].T)
+    return u, acts[:, s:he], blocked_pull(w[s:he, s:he], blocks, acts[:, s:he], dx)
+
+
+@pytest.mark.parametrize("width", [15, 16, 17, 33, 48])
+def test_bound_walk_and_pull_equal_the_blocked_walk_reference_bitwise(width):
+    rng = make_rng(width)
+    in_run = np.triu(rng.random((width, width)) < 0.15, 1)
+    # edges into the sub-block edge, from the last sub-block to the end of
+    # the run, and from the first neuron across it, so that sub-blocks are
+    # fed and feed
+    for edge in range(WALK_BLOCK, width, WALK_BLOCK):
+        in_run[edge - 1, edge] = in_run[edge - 3, width - 1] = in_run[0, min(edge + 1, width - 1)] = True
+    in_run[0, width - 1] = True
+    net = one_run_dag(rng, width, in_run)
+    # an active in-run pair at weight zero, turned nonzero mid-call below
+    i, j = (int(v) for v in np.argwhere(np.triu(~in_run, 1))[0])
+    s, he = net.n_in, net.hidden_end
+    net.mask[s + i, s + j] = True
+    plan = _StepPlan(net, [])
+    blocks = plan.segments()[0][3][1]
+    assert len(blocks) == -(-width // WALK_BLOCK)
+    if width > WALK_BLOCK:
+        assert any(fed for _, _, fed, *_ in blocks) and any(feeds for *_, feeds, _ in blocks)
+    x = rng.normal(size=(64, net.n_in))
+    y = rng.integers(0, net.n_out, size=64)
+
+    def check(b):
+        _, _, du, acts = _backprop(plan, x[:b], y[:b])
+        u, xs, du_run = walk_reference(net, x[:b], du[:, he:])
+        assert bitwise(acts[:, s:he], xs) and bitwise(du[:, s:he], du_run)
+        assert bitwise(forward(net, x[:b]).u[:, s:he], u)
+
+    # the full and the ragged last minibatch of a call, and a single row,
+    # each through a program of its own; a batch larger than any before
+    # gets new step buffers, and the programs are built anew over them
+    for b in (43, 64, 1):
+        check(b)
+    assert sorted(plan.programs) == [1, 64]
+    seg = plan.segments()[0]
+    net.weights[s + i, s + j] = 0.5
+    assert plan.segments()[0] is not seg
+    for b in (64, 43, 1):
+        check(b)
+    assert sorted(plan.programs) == [1, 43, 64]
+
+
+REPLACE_ARRAYS = {
+    "weights": lambda net: setattr(net, "weights", net.weights.copy()),
+    "bias": lambda net: setattr(net, "bias", net.bias.copy()),
+    # compaction replaces the mask, weights and bias
+    "prune_isolated_neurons": lambda net: prune_isolated_neurons(net),
+}
+
+
+@pytest.mark.parametrize("replace", REPLACE_ARRAYS.values(), ids=REPLACE_ARRAYS.keys())
+def test_a_step_through_a_plan_whose_arrays_were_replaced_raises(replace):
+    net = from_mlp([4, 6, 3], make_rng(1))
+    # hidden neuron 9 loses its out-edges, so compaction drops it
+    net.mask[9, 10:] = False
+    net.weights[9, 10:] = 0.0
+    x = make_rng(2).normal(size=(5, 4))
+    y = np.array([0, 1, 2, 0, 1])
+    plan = _StepPlan(net, [])
+    _backprop(plan, x, y)
+    replace(net)
+    with pytest.raises(RuntimeError, match="replaced"):
+        _backprop(plan, x, y)
+
+
+def test_a_call_through_a_plan_refuses_weight_decay():
+    # training folds the decay into its update, so a plan's dW carries none
+    net = from_mlp([4, 6, 3], make_rng(1))
+    x, y = make_rng(2).normal(size=(5, 4)), np.array([0, 1, 2, 0, 1])
+    with pytest.raises(ValueError, match="weight_decay"):
+        loss_and_gradients(net, x, y, weight_decay=1e-3, _plan=_StepPlan(net, []))
 
 
 def test_forward_order_invariant_under_hidden_permutation(rng):

@@ -24,7 +24,7 @@ from growprune.schemes import (
     OptimizerConfig,
     SchemeConfig,
     TrainingDiverged,
-    _LiveUnit,
+    _Params,
     run_scheme,
     train_weights,
 )
@@ -208,7 +208,10 @@ def mlp_with_a_sparse_and_a_dense_block():
     net.weights[:6, 6:16][drop] = 0.0
     fills = [net.mask[blk].mean() for blk in live_blocks(net)]
     assert fills[0] < SPARSE_FILL <= fills[1] == 1.0
-    assert [_LiveUnit(net, blk).take is None for blk in live_blocks(net)] == [False, True]
+    # the vector of the sparse block's active entries, the dense block's view
+    # of the weights, then the bias
+    params = _Params(net)
+    assert [w.ndim for w in params.ws] == [1, 2, 1] and params.ws[1].base is net.weights
     return net
 
 
@@ -226,9 +229,24 @@ def test_update_in_chunks_matches_dense_oracle(kind):
     drop[0, 0] = drop[-1, -1] = False
     net.mask[:300, 300:550][drop] = False
     net.weights[:300, 300:550][drop] = 0.0
-    units = [_LiveUnit(net, blk) for blk in live_blocks(net)]
-    assert [unit.take is None for unit in units] == [False, True, True]
-    assert [len(schemes._chunks(unit.w)) for unit in units] == [2, 2, 1]
+    params = _Params(net)
+    assert [w.ndim for w in params.ws] == [1, 2, 2, 1]
+    # the parameters of each range of G: the vector and the dense block span
+    # two ranges each, and the dense block's last rows share one with the
+    # output block and the bias
+    assert [[i for i, *_ in pieces] for *_, pieces in params.ranges] == [[0], [0], [1], [1, 2, 3]]
+    assert all(hi - lo <= schemes.CHUNK for lo, hi, _ in params.ranges)
+    assert_training_matches_dense_oracle(net, kind)
+
+
+@pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+def test_small_parameters_share_a_range_of_the_update(kind):
+    # a dense 300 x 120 block longer than one range, then the 120 x 10 and
+    # 10 x 3 blocks and the bias, which share the range of its last rows
+    net = from_mlp([300, 120, 10, 3], make_rng(4))
+    params = _Params(net)
+    assert [[i for i, *_ in pieces] for *_, pieces in params.ranges] == [[0], [0, 1, 2, 3]]
+    assert [lo for lo, _, _ in params.ranges] == [0, 273 * 120] and params.ranges[-1][1] == params.g.size
     assert_training_matches_dense_oracle(net, kind)
 
 
@@ -753,6 +771,9 @@ def test_config_validation():
         ("batch_size", 64.5),
         ("batch_size", True),
         ("epochs_per_iteration", 2.5),
+        ("learning_rate", True),
+        ("momentum", False),
+        ("weight_decay", True),
     ],
 )
 def test_optimizer_config_rejects_bad_values(field, value):
@@ -796,6 +817,9 @@ def test_scheme_config_rejects_bad_values(field, value):
         ({"op": "grow_connections", "target_fraction_of_possible": 1.5}, "amount"),
         ({"op": "grow_connections", "fraction_of_possible": 0.5, "fraction_of_inactive": 0.5}, "only one"),
         ({"op": "prune_connections", "threshold": True}, "threshold"),
+        ({"op": "grow_connections", "fraction_of_possible": True}, "amount"),
+        ({"op": "prune_connections", "keep_fraction": True}, "keep_fraction"),
+        ({"op": "prune_connections", "prune_fraction": False}, "prune_fraction"),
     ],
 )
 def test_scheme_config_rejects_bad_step_values(step, match):
